@@ -117,26 +117,17 @@ class Channel:
         k = frame.train_frames
         self.counters.add("frames_offered", k)
         self.counters.add("bytes_offered", frame.payload_bytes)
-        if k > 1:
-            # Flow-mode train: it only formed because the controller
-            # proved both directions quiet over its horizon (no
-            # stochastic models, no outage/congestion window), so the
-            # verdict is DELIVER with no extras — skip the per-frame
-            # draw and hand the batch to the sink with one timer
-            # instead of a delivery process.
+        sink = self._sink
+        if k > 1 or self.faults is None:
+            # Clean delivery: one timer hands the frame to the sink.  A
+            # flow-mode train only formed because the controller proved
+            # both directions quiet over its horizon (no stochastic
+            # models, no outage/congestion window), so its verdict is
+            # DELIVER with no extras — skip the per-frame draw.
             self.counters.add("frames", k)
             self.counters.add("bytes", frame.payload_bytes)
-            sink = self._sink
             self.env.call_later(self.params.propagation_ns,
                                 lambda: sink(frame))
-            return
-        if self.faults is None:
-            self.counters.add("frames")
-            self.counters.add("bytes", frame.payload_bytes)
-            self.env.process(
-                self._deliver(frame, self.params.propagation_ns),
-                name=f"{self.name}.deliver",
-            )
             return
         decision = self.faults.decide(self.env.now)
         journeys = self._journeys()
@@ -167,13 +158,7 @@ class Channel:
         for _ in range(decision.copies):
             self.counters.add("frames")
             self.counters.add("bytes", frame.payload_bytes)
-            self.env.process(
-                self._deliver(frame, delay), name=f"{self.name}.deliver"
-            )
-
-    def _deliver(self, frame: Frame, delay_ns: float) -> Generator:
-        yield self.env.timeout(delay_ns)
-        self._sink(frame)
+            self.env.call_later(delay, lambda: sink(frame))
 
     def utilization(self) -> float:
         """Busy fraction of this direction since time zero."""

@@ -203,7 +203,14 @@ class Nic:
                          nbytes=frame.payload_bytes)
         self._rx_claimed += k  # hardware claims the descriptor(s) at arrival
         rx = RxFrame(frame=frame, arrived_at=self.env.now)
-        self.env.process(self._rx_process(rx), name=f"{self.name}.rx")
+        span = self.tracer.begin_detached(self.name, "nic_rx",
+                                          nbytes=frame.payload_bytes)
+        if self.rx_deliver == "push":
+            self.env.process(self._rx_process(rx, span), name=f"{self.name}.rx")
+        else:
+            # Firmware processing is one delay before synchronous work.
+            self.env.call_later(self.params.frame_processing_ns * k,
+                                lambda: self._rx_firmware_done(rx, span))
 
     # ------------------------------------------------------------------
     # transmit path
@@ -223,7 +230,7 @@ class Nic:
             self.counters.add("tx_ring_full")
             return False
         self._effective_mtu_check(desc)
-        self._tx_ring.put(desc)
+        self._tx_ring.put_nowait(desc)
         return True
 
     def post_tx(self, desc: TxDescriptor):
@@ -376,10 +383,28 @@ class Nic:
     # ------------------------------------------------------------------
     # receive path
     # ------------------------------------------------------------------
-    def _rx_process(self, rx: RxFrame) -> Generator:
-        span = self.tracer.begin(self.name, "nic_rx", nbytes=rx.frame.payload_bytes)
+    def _rx_process(self, rx: RxFrame, span) -> Generator:
+        """Push mode: firmware processing, then the DMA to host memory."""
         k = rx.frame.train_frames
         yield self.env.timeout(self.params.frame_processing_ns * k)
+        if not self._rx_firmware_done(rx, span):
+            return
+        # NIC pushes straight to host memory, then tells the host.
+        yield from self.pci.dma(rx.frame.payload_bytes, priority=2, label=f"{self.name}.rxpush")
+        rx.in_host_memory = True
+        self._rx_claimed -= k  # descriptor recycled after the push
+        if self.push_callback is not None:
+            self.push_callback(rx)
+        span.end(pushed=True)
+
+    def _rx_firmware_done(self, rx: RxFrame, span) -> bool:
+        """Receive tail once firmware processing is over.
+
+        Runs on-card reassembly of offload fragments, then (irq-pull
+        mode) moves the frame onto the ring and feeds the coalescer.
+        Returns True when a push-mode frame still needs its DMA.
+        """
+        k = rx.frame.train_frames
         marker = rx.frame.payload if isinstance(rx.frame.payload, _FragmentMarker) else None
         if marker is not None and self.params.supports_fragmentation:
             # On-NIC reassembly: accumulate, deliver once complete.
@@ -388,7 +413,7 @@ class Nic:
             if not marker.last:
                 self._rx_claimed -= 1  # fragment consumed on-card
                 span.end(reassembling=True)
-                return
+                return False
             total = acc[0]
             del self._reassembly[marker.desc_id]
             rx.frame.payload_bytes = total
@@ -401,14 +426,7 @@ class Nic:
             rx.frame.payload = marker.payload
 
         if self.rx_deliver == "push":
-            # NIC pushes straight to host memory, then tells the host.
-            yield from self.pci.dma(rx.frame.payload_bytes, priority=2, label=f"{self.name}.rxpush")
-            rx.in_host_memory = True
-            self._rx_claimed -= k  # descriptor recycled after the push
-            if self.push_callback is not None:
-                self.push_callback(rx)
-            span.end(pushed=True)
-            return
+            return True
         self._rx_claimed -= k  # claimed -> buffered
         self._rx_occ += k
         self._rx_buffer.append(rx)
@@ -423,6 +441,7 @@ class Nic:
             self.coalescer.note_train(k)
         else:
             self.coalescer.note_frame()
+        return False
 
     def _assert_irq(self) -> None:
         self.counters.add("irqs_asserted")

@@ -116,7 +116,7 @@ class SwitchPort:
         if journeys is not None:
             journeys.hop(frame.payload, "switch", "switch",
                          port=self.index, depth=self.occupancy)
-        self.queue.put(frame)
+        self.queue.put_nowait(frame)
         self._note_depth()
 
     def enqueue_blocking(self, frame: Frame) -> Generator:
@@ -226,13 +226,11 @@ class Switch:
         """Sink callable for the channel feeding this switch from a device."""
 
         def _receive(frame: Frame) -> None:
-            if frame.train_frames > 1 and self.backpressure == "drop":
-                # Flow-mode train: forwarding is one timer + a
-                # synchronous enqueue (drop mode never blocks), so the
-                # whole store-and-forward stage costs one event.
+            if self.backpressure == "drop" and not frame.is_broadcast:
+                # Drop-mode unicast never blocks: the store-and-forward
+                # stage is one timer plus a synchronous enqueue.
                 self.env.call_later(
-                    self.forward_ns,
-                    lambda: self._forward_train(frame, from_port),
+                    self.forward_ns, lambda: self._forward_now(frame, from_port)
                 )
                 return
             self.env.process(
@@ -241,18 +239,27 @@ class Switch:
 
         return _receive
 
-    def _forward_train(self, frame: Frame, from_port: SwitchPort) -> None:
-        """Synchronous forwarding for a train (drop-mode fast path)."""
+    def _egress_port(self, frame: Frame, from_port: SwitchPort) -> Optional[SwitchPort]:
+        """Count a forwarded unicast frame and return its egress port, or
+        ``None`` when it is dropped (unknown destination or hairpin)."""
         k = frame.train_frames
         self.counters.add("forwarded", k)
         port = self._mac_table.get(frame.dst)
         if port is None:
+            # Unknown unicast: a real switch floods; in a closed cluster
+            # this indicates a wiring bug, so count and drop loudly.
             self.counters.add("unknown_dst", k)
-            return
+            return None
         if port is from_port:
             self.counters.add("hairpin_dropped", k)
-            return
-        port.enqueue(frame)
+            return None
+        return port
+
+    def _forward_now(self, frame: Frame, from_port: SwitchPort) -> None:
+        """Synchronous drop-mode forwarding of a unicast frame or train."""
+        port = self._egress_port(frame, from_port)
+        if port is not None:
+            port.enqueue(frame)
 
     def _enqueue(self, port: SwitchPort, frame: Frame) -> Generator:
         """Hand ``frame`` to ``port`` per the backpressure mode."""
@@ -262,21 +269,15 @@ class Switch:
             port.enqueue(frame)
 
     def _forward(self, frame: Frame, from_port: SwitchPort) -> Generator:
+        """Forwarding that may block: broadcast frames, and every frame
+        in ``"pause"`` mode."""
         yield self.env.timeout(self.forward_ns)
-        k = frame.train_frames
-        self.counters.add("forwarded", k)
         if frame.is_broadcast:
+            self.counters.add("forwarded", frame.train_frames)
             for port in self.ports:
                 if port is not from_port and port.flood:
                     yield from self._enqueue(port, frame)
             return
-        port = self._mac_table.get(frame.dst)
-        if port is None:
-            # Unknown unicast: a real switch floods; in a closed cluster
-            # this indicates a wiring bug, so count and drop loudly.
-            self.counters.add("unknown_dst", k)
-            return
-        if port is from_port:
-            self.counters.add("hairpin_dropped", k)
-            return
-        yield from self._enqueue(port, frame)
+        port = self._egress_port(frame, from_port)
+        if port is not None:
+            yield from self._enqueue(port, frame)

@@ -151,6 +151,9 @@ class _NullSpan:
 
 NULL_SPAN = _NullSpan()
 
+#: stack key of detached spans (see :meth:`Tracer.begin_detached`)
+_DETACHED = object()
+
 
 class Tracer:
     """Factory and index for spans/instants of one simulation run."""
@@ -186,7 +189,6 @@ class Tracer:
         the same simulated process."""
         if not self.enabled:
             return NULL_SPAN
-        now = self.env.now
         key = getattr(self.env, "active_process", None)
         stack = self._stacks.get(key)
         if parent is not None:
@@ -195,14 +197,31 @@ class Tracer:
             parent_id = stack[-1].span_id
         else:
             parent_id = None
-        self._seq += 1
-        span = Span(self, self._seq, scope, name, now, parent_id, dict(attrs), key)
-        self.spans.append(span)
-        self._by_name.setdefault((scope, name), []).append(span)
+        span = self._open(scope, name, parent_id, attrs, key)
         if stack is None:
             self._stacks[key] = [span]
         else:
             stack.append(span)
+        return span
+
+    def begin_detached(self, scope: str, name: str, **attrs: Any) -> Span:
+        """Open a root span that joins no process's nesting stack.
+
+        For work carried by a timer rather than a process: it belongs to
+        no process, so its span has no parent and no later span nests
+        under it.
+        """
+        if not self.enabled:
+            return NULL_SPAN
+        return self._open(scope, name, None, attrs, _DETACHED)
+
+    def _open(self, scope: str, name: str, parent_id: Optional[int],
+              attrs: Dict[str, Any], key: Any) -> Span:
+        now = self.env.now
+        self._seq += 1
+        span = Span(self, self._seq, scope, name, now, parent_id, dict(attrs), key)
+        self.spans.append(span)
+        self._by_name.setdefault((scope, name), []).append(span)
         if self.trace is not None:
             self.trace.record(now, scope, "span_begin",
                               span=span.span_id, name=name, parent=parent_id)

@@ -414,7 +414,7 @@ class ClicModule:
             skb.relocate("system")
             self.counters.add("staged_copies")
         self.counters.add("pkts_staged")
-        self._backlog.put((skb, mac))
+        self._backlog.put_nowait((skb, mac))
         span.end(accepted=False)
 
     def _tx_train(self, train: ClicTrain, dst_node: int) -> Generator:
@@ -453,7 +453,7 @@ class ClicModule:
             skb.relocate("system")
             self.counters.add("staged_copies", k)
         self.counters.add("pkts_staged", k)
-        self._backlog.put((skb, mac))
+        self._backlog.put_nowait((skb, mac))
         span.end(accepted=False, frames=k)
 
     def _route(self, pkt: ClicPacket, dst_mac: Optional[MacAddress]):
@@ -528,7 +528,7 @@ class ClicModule:
             driver, mac = self.node.drivers[0], self.node.mac_of(dst_node, 0)
             accepted = yield from driver.transmit(skb, mac, EtherType.CLIC)
             if not accepted:
-                self._backlog.put((skb, mac))
+                self._backlog.put_nowait((skb, mac))
             self.counters.add("acks_tx")
 
         self.env.process(_do(), name=f"{self.node.name}.clic.ack")

@@ -103,7 +103,7 @@ class IpLayer:
         if accepted:
             self.counters.add("datagrams_tx")
         else:
-            self._backlog.put((skb, mac))
+            self._backlog.put_nowait((skb, mac))
             self.counters.add("datagrams_backlogged")
 
     def _backlog_pump(self) -> Generator:

@@ -119,10 +119,15 @@ class Counters:
     def __init__(self, registry: Optional[MetricsRegistry] = None, prefix: str = ""):
         self._registry = registry if registry is not None else MetricsRegistry()
         self._prefix = prefix
+        #: name -> counter instrument, looked up once per name
+        self._bound: Dict[str, Any] = {}
 
     def add(self, name: str, amount: float = 1) -> None:
         """Increment counter ``name`` by ``amount``."""
-        self._registry.counter(self._prefix + name).value += amount
+        counter = self._bound.get(name)
+        if counter is None:
+            counter = self._bound[name] = self._registry.counter(self._prefix + name)
+        counter.value += amount
 
     def set(self, name: str, value: float) -> None:
         """Record ``name`` as a gauge *level* (a typed gauge instrument,
@@ -151,6 +156,7 @@ class Counters:
 
     def reset(self) -> None:
         """Zero all counters."""
+        self._bound.clear()
         for name in list(self.snapshot()):
             self._registry.discard(self._prefix + name)
 

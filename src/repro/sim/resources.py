@@ -94,15 +94,22 @@ class PriorityRequest(Request):
 
 
 class Release(Event):
-    """Event representing a release; triggers immediately."""
+    """A release, applied at construction and already processed.
+
+    Nothing waits on a release, so it schedules no event: a process
+    that yields one resumes at once, at the same simulated instant.
+    """
 
     __slots__ = ("request",)
 
     def __init__(self, resource: "Resource", request: Request):
-        super().__init__(resource.env)
+        self.env = resource.env
+        self.callbacks = None
+        self._value = request
+        self._ok = True
+        self._defused = False
         self.request = request
         resource._do_release(request)
-        self.succeed(request)
 
 
 class Resource:
@@ -220,9 +227,7 @@ class PreemptiveResource(PriorityResource):
 
     def _do_request(self, request: Request) -> None:
         assert isinstance(request, PriorityRequest)
-        if request.preempt and len(self.users) >= self.capacity and not self.queue:
-            self._maybe_preempt(request)
-        elif request.preempt and len(self.users) >= self.capacity:
+        if request.preempt and len(self.users) >= self.capacity:
             self._maybe_preempt(request)
         super()._do_request(request)
 
@@ -298,6 +303,18 @@ class Store:
     def put(self, item: Any) -> StorePut:
         """Event that triggers once the item is stored."""
         return StorePut(self, item)
+
+    def put_nowait(self, item: Any) -> None:
+        """Store ``item`` now, scheduling no event of its own.
+
+        Getters wake exactly as for :meth:`put`.  For callers that never
+        wait on the put and have checked for room; a full store raises
+        :class:`~repro.sim.core.SimulationError`.
+        """
+        if len(self.items) >= self.capacity:
+            raise SimulationError(f"store {self.name!r} is full")
+        self.items.append(item)
+        self._trigger()
 
     def get(self, filter=None) -> StoreGet:
         """Event that triggers with the next (or first matching) item."""

@@ -9,10 +9,13 @@ is the pass verdict the fuzzer aggregates.
 The catalog (stable ids, referenced by tests and docs):
 
 ``delivery.exactly_once_in_order``
-    Per (src, dst) channel the receiver observed *exactly* the message
-    sequence the sender submitted — no loss, duplication or reordering.
-    A channel whose sender legitimately failed (permanent fault) must
-    deliver a strict prefix.
+    Per (src, dst) channel the messages the receiver observed, followed
+    by those the receiving module completed but no receive has collected
+    yet (*parked*: the application is blocked elsewhere, which
+    ``sim.convergence`` judges), are *exactly* the message sequence the
+    sender submitted — no loss, duplication or reordering.  A channel
+    whose sender legitimately failed (permanent fault) must deliver a
+    strict prefix.
 ``delivery.exactly_once``
     Channel-sequence level: no sequence number was handed to the
     application twice, however many copies the wire delivered
@@ -24,7 +27,7 @@ The catalog (stable ids, referenced by tests and docs):
 ``delivery.bytes_conserved``
     Per-node CLIC module counters agree with the app-level journals:
     every byte counted sent was submitted, every byte counted received
-    was delivered (user -> CLIC accounting).
+    was delivered or is parked for a receive (user -> CLIC accounting).
 ``frames.conserved``
     Frame conservation across NIC -> wire -> switch -> wire -> NIC:
     per-channel ``offered + duplicated == delivered + lost`` (byte
@@ -120,7 +123,7 @@ def _check_delivery(record: Dict[str, Any], out: List[Violation]) -> None:
     for key, ch in record["channels"].items():
         attempted = ch.get("attempted", [])
         sent = ch.get("sent", [])
-        received = ch.get("received", [])
+        delivered = ch.get("received", []) + ch.get("parked", [])
         failed = bool(ch.get("sender") and ch["sender"]["failed"])
         if not _is_prefix(sent, attempted):
             out.append(Violation(
@@ -129,15 +132,15 @@ def _check_delivery(record: Dict[str, Any], out: List[Violation]) -> None:
             ))
             continue
         if failed:
-            if not _is_prefix(received, sent):
+            if not _is_prefix(delivered, sent):
                 out.append(Violation(
                     "delivery.exactly_once_in_order", key,
-                    f"failed channel delivered {received}, not a prefix of sent {sent}",
+                    f"failed channel delivered {delivered}, not a prefix of sent {sent}",
                 ))
-        elif received != sent or sent != attempted:
+        elif delivered != sent or sent != attempted:
             out.append(Violation(
                 "delivery.exactly_once_in_order", key,
-                f"attempted {attempted}, completed {sent}, delivered {received}",
+                f"attempted {attempted}, completed {sent}, delivered {delivered}",
             ))
 
 
@@ -149,20 +152,21 @@ def _check_bytes(record: Dict[str, Any], out: List[Violation]) -> None:
         node = int(node_key)
         sent = [m for key, ch in record["channels"].items()
                 for m in ch.get("sent", []) if _channel_nodes(key)[0] == node]
-        received = [m for key, ch in record["channels"].items()
-                    for m in ch.get("received", []) if _channel_nodes(key)[1] == node]
+        delivered = [m for key, ch in record["channels"].items()
+                     for m in ch.get("received", []) + ch.get("parked", [])
+                     if _channel_nodes(key)[1] == node]
         expect = {
             "msgs_sent": len(sent),
             "bytes_sent": sum(m[1] for m in sent),
-            "msgs_rx": len(received),
-            "bytes_rx": sum(m[1] for m in received),
+            "msgs_rx": len(delivered),
+            "bytes_rx": sum(m[1] for m in delivered),
         }
         for name, want in expect.items():
             got = counters.get(name, 0)
             if got != want:
                 out.append(Violation(
                     "delivery.bytes_conserved", f"node{node}",
-                    f"{name}: module counted {got}, app journal says {want}",
+                    f"{name}: module counted {got}, app journal and parked say {want}",
                 ))
 
 

@@ -155,7 +155,7 @@ def _assemble(
     def ch(key: str) -> Dict[str, Any]:
         return channels.setdefault(
             key, {"sender": None, "receiver": None,
-                  "attempted": [], "sent": [], "received": []}
+                  "attempted": [], "sent": [], "received": [], "parked": []}
         )
 
     if scenario.protocol == "clic":
@@ -168,6 +168,12 @@ def _assemble(
                 log = recorder.for_receiver(receiver)
                 if log is not None:
                     ch(f"{src}->{node.node_id}")["receiver"] = log.final_state()
+            # Messages the module completed but no receive collected (the
+            # application is blocked elsewhere, or never asked).
+            for state in node.clic._ports.values():
+                for msg in state.ready:
+                    ch(f"{msg.src_node}->{node.node_id}")["parked"].append(
+                        [msg.tag, msg.nbytes])
     else:
         sock_a, sock_b = tcp_socks
         pairs = [("0->1", sock_a.conn.sender, sock_b.conn.receiver),

@@ -78,3 +78,24 @@ def test_deterministic_rebuild_same_results():
     r1 = pingpong(Cluster(granada2003(seed=5)), clic_pair(), 10_000, repeats=2, warmup=1)
     r2 = pingpong(Cluster(granada2003(seed=5)), clic_pair(), 10_000, repeats=2, warmup=1)
     assert r1.rtt_ns == r2.rtt_ns
+
+
+#: events per wire frame on the exact path: every hop whose body is one
+#: delay then synchronous work runs as a timer, so a per-frame process
+#: added back pushes the 64 KiB stream past this budget
+EVENTS_PER_FRAME_BUDGET = 42
+
+
+def test_exact_stream_stays_within_event_budget():
+    from repro.sim import profiled
+    from repro.workloads import clic_pair, stream
+
+    cfg = granada2003(mtu=MTU_STANDARD).with_flow_mode("off")
+    with profiled() as profilers:
+        cluster = Cluster(cfg, protocols=("clic",))
+        stream(cluster, clic_pair(), 65_536, messages=2)
+    frames = sum(nic.counters.get("tx_frames")
+                 for node in cluster.nodes for nic in node.nics)
+    assert frames > 0
+    per_frame = profilers[0].events_processed / frames
+    assert per_frame <= EVENTS_PER_FRAME_BUDGET, per_frame

@@ -43,6 +43,25 @@ def test_permanent_fault_scenario_converges_to_peer_death():
     assert report["violations"] == []
 
 
+def test_receiver_blocked_by_dead_sender_parks_later_messages():
+    """Replay of ``generate_scenario(2003, 16)``: CLIC on a 3-node chain,
+    node 0 out for good.  Node 2's one pending receive matched node 0's
+    message at its first fragment, so node 1's message to node 2
+    completes in the module but stays parked for a receive the blocked
+    application never makes.  That is accounted, not a violation."""
+    from repro.validate import Scenario
+    from repro.validate.runner import execute
+
+    spec = generate_scenario(2003, 16).to_dict()
+    assert run_scenario(spec)["violations"] == []
+    record = execute(Scenario.from_dict(spec))
+    channel = record["channels"]["1->2"]
+    assert channel["received"] == []
+    assert channel["parked"] == channel["sent"] == [[0, 20000]]
+    assert record["channels"]["0->2"]["sender"]["failed"]
+    assert {"name": "fuzz-rx2", "node": 2, "role": "rx"} in record["procs_unfinished"]
+
+
 def test_cli_fuzz_clean_campaign(tmp_path, capsys):
     rc = main(["fuzz", "--budget", "6", "--seed", "11", "--out", str(tmp_path)])
     assert rc == 0

@@ -56,6 +56,21 @@ def test_delivery_lost(record_factory):
     assert "delivery.exactly_once_in_order" in ids(check_run(record))
 
 
+def test_parked_message_counts_as_delivered(record_factory):
+    record = record_factory()
+    ch = record["channels"]["0->1"]
+    ch["received"], ch["parked"] = [], [[0, 1000]]
+    assert check_run(record) == []
+
+
+def test_parked_duplicate_is_flagged(record_factory):
+    record = record_factory()
+    record["channels"]["0->1"]["parked"] = [[0, 1000]]
+    got = ids(check_run(record))
+    assert "delivery.exactly_once_in_order" in got
+    assert "delivery.bytes_conserved" in got
+
+
 def test_delivery_sent_not_prefix_of_attempted(record_factory):
     record = record_factory()
     record["channels"]["0->1"]["sent"] = [[9, 1]]
