@@ -1,4 +1,4 @@
-"""Result analysis: tables, ASCII plots, pipeline timelines, curve metrics."""
+"""Result analysis: tables, ASCII plots, CPU breakdowns, curve metrics."""
 
 from .ascii_plot import logx_plot
 from .cpu_report import breakdown_table, categorize, cpu_breakdown
@@ -10,22 +10,12 @@ from .metrics import (
     size_reaching,
 )
 from .tables import format_series_table, format_table
-from .timeline import (
-    PacketTimeline,
-    Stage,
-    extract_packet_timeline,
-    extract_packet_timeline_from_spans,
-)
 
 __all__ = [
-    "PacketTimeline",
     "breakdown_table",
     "categorize",
     "cpu_breakdown",
-    "Stage",
     "crossover_size",
-    "extract_packet_timeline",
-    "extract_packet_timeline_from_spans",
     "format_series_table",
     "format_table",
     "interpolate_half_bandwidth",

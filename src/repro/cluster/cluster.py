@@ -101,9 +101,10 @@ class Cluster:
         _reset_global_ids()
         self.env = Environment(profile=getattr(self.cfg, "profile", False))
         self.rng = RngStreams(self.cfg.seed)
-        self.trace = Trace(enabled=self.cfg.trace)
-        #: cluster-wide span tracer (see repro.obs.span); shares the Trace
-        self.tracer = Tracer(self.env, self.trace)
+        #: cluster-wide span tracer (see repro.obs.span); it owns the
+        #: flat instant trace, enabled by ``cfg.trace``
+        self.tracer = Tracer(self.env, Trace(enabled=self.cfg.trace))
+        self.trace = self.tracer.trace
         #: cluster-wide typed metrics namespace (counters/gauges/histograms)
         self.metrics = MetricsRegistry()
         #: the switch fabric (one switch unless ``cfg.topology`` says more)
@@ -143,7 +144,6 @@ class Cluster:
                 overrides.get(node_id, self.cfg.node),
                 self.cfg.link,
                 node_id,
-                trace=self.trace,
                 rx_mode=rx_mode,
                 tracer=self.tracer,
                 metrics=self.metrics,

@@ -7,7 +7,8 @@ reports its numbers through the instruments here:
 
 * :mod:`repro.obs.span` — span-based structured tracing (``begin``/
   ``end`` with parent links and per-node/per-subsystem scopes such as
-  ``node0.clic``), layered on the flat :class:`repro.sim.Trace`;
+  ``node0.clic``); point events go to the flat :class:`repro.sim.Trace`
+  the :class:`Tracer` owns;
 * :mod:`repro.obs.journey` — per-message causal tracing: every message
   followed send → fragment → wire → reassembly → deliver as a
   :class:`Journey` with per-hop waterfalls and retransmit genealogy;
@@ -45,7 +46,7 @@ from .analyze import (
     attribution_table,
     critical_path,
     explain_outliers,
-    fig7_stage_durations,
+    fig7_stages,
     journey_latency_summary,
     journey_waterfall,
     layer_attribution,
@@ -58,9 +59,6 @@ from .analyze import (
 from .diff import Delta, RunDiff, flatten_numeric
 from .export import (
     RUN_SCHEMA,
-    RUN_SCHEMA_V1,
-    RUN_SCHEMA_V2,
-    RUN_SCHEMA_V3,
     RunArtifact,
     chrome_trace_events,
     chrome_trace_json,
@@ -91,7 +89,7 @@ from .slo import (
     resolve_metric,
     scorecard_table,
 )
-from .span import NULL_SPAN, Instant, Span, Tracer
+from .span import NULL_SPAN, Span, Tracer
 
 __all__ = [
     "Counter",
@@ -104,7 +102,6 @@ __all__ = [
     "HealthEvent",
     "HealthWatchdog",
     "Histogram",
-    "Instant",
     "Journey",
     "JourneyProbe",
     "JourneyRecorder",
@@ -115,9 +112,6 @@ __all__ = [
     "Objective",
     "PathSegment",
     "RUN_SCHEMA",
-    "RUN_SCHEMA_V1",
-    "RUN_SCHEMA_V2",
-    "RUN_SCHEMA_V3",
     "RunArtifact",
     "RunDiff",
     "SCORECARD_SCHEMA",
@@ -137,7 +131,7 @@ __all__ = [
     "critical_path",
     "evaluate",
     "explain_outliers",
-    "fig7_stage_durations",
+    "fig7_stages",
     "flatten_numeric",
     "journey_latency_summary",
     "journey_waterfall",

@@ -13,14 +13,13 @@ into exactly those budgets:
 * :func:`critical_path` — walk one message's packet through the
   pipeline (sender syscall → CLIC → driver → NIC → wire → interrupt →
   bottom halves → CLIC → wake) and label every hop with the layer that
-  owns it, re-deriving the Figure 7 breakdown from structured spans
-  instead of ad-hoc counters;
+  owns it; this is the repo's one derivation of Figure 7;
 * :func:`layer_attribution` / :func:`attribution_table` — fold a
   critical path into the per-layer table (user/CLIC/kernel/driver/
   NIC/wire) the paper argues about;
-* :func:`fig7_stage_durations` — regroup the path's segments into the
-  five classic Figure-7 stages so the span-derived budget can be
-  cross-checked against :mod:`repro.experiments.fig7`;
+* :func:`fig7_stages` — read the paper's Figure-7 stages (five on the
+  stock path, four with the direct driver->CLIC_MODULE call) off the
+  path's hop boundaries, for :mod:`repro.experiments.fig7`;
 * :func:`journey_waterfall` / :func:`explain_outliers` /
   :func:`journey_latency_summary` — the per-message view: turn a
   :class:`~repro.obs.journey.Journey` export dict into a waterfall of
@@ -63,7 +62,7 @@ __all__ = [
     "attribution_table",
     "critical_path",
     "explain_outliers",
-    "fig7_stage_durations",
+    "fig7_stages",
     "journey_latency_summary",
     "journey_waterfall",
     "layer_attribution",
@@ -206,6 +205,9 @@ class CriticalPath:
 
     packet_id: int
     segments: List[PathSegment]
+    #: True when the receiver ran CLIC_MODULE straight from the driver
+    #: interrupt (Figure 8(b)) instead of from the bottom halves
+    direct: bool = False
 
     @property
     def total_ns(self) -> float:
@@ -279,17 +281,18 @@ def _first_record(records: Sequence[Dict[str, Any]], event: str, *,
 
 def critical_path(spans: Sequence[Dict[str, Any]], records: Sequence[Dict[str, Any]],
                   packet_id: int, sender: str, receiver: str) -> CriticalPath:
-    """Extract one packet's layer-labeled critical path (stock rx path).
+    """Extract one packet's layer-labeled critical path.
 
     ``spans``/``records`` are the export-dict forms (e.g. the ``spans``
     and ``records`` of a :class:`~repro.obs.RunArtifact`); ``sender``
     and ``receiver`` are node-name prefixes (``node0``, ``node1``).
     The chain ends at the receiver's wake — the same window Figure 7
-    plots — so :func:`fig7_stage_durations` regroups it losslessly.
+    plots — so :func:`fig7_stages` reads the paper's stages off it.
+    Both receive paths work: on the direct Figure 8(b) path the
+    bottom-half hop is empty and drops out.
 
     Raises :class:`ValueError` when the trace does not contain the full
-    stock pipeline for ``packet_id`` (e.g. direct-dispatch runs, which
-    have no bottom-half hop).
+    pipeline for ``packet_id``.
     """
     sys_span = _first_span(spans, scope=f"{sender}.kernel", name="syscall",
                            label="clic_send")
@@ -298,9 +301,12 @@ def critical_path(spans: Sequence[Dict[str, Any]], records: Sequence[Dict[str, A
     drv_rx = _first_record(records, "driver_rx", pkt=packet_id)
     clic_rx = _first_span(spans, scope=f"{receiver}.clic", name="clic_rx",
                           pkt=packet_id)
+    mod_rx = _first_record(records, "module_rx", source_prefix=receiver,
+                           pkt=packet_id)
     missing = [label for label, found in [
         ("sender syscall span", sys_span), ("clic_send span", clic_tx),
         ("driver_tx", drv_tx), ("driver_rx", drv_rx), ("clic_rx span", clic_rx),
+        ("module_rx", mod_rx),
     ] if found is None]
     if missing:
         raise ValueError(f"trace incomplete for packet {packet_id}: missing {missing}")
@@ -343,8 +349,8 @@ def critical_path(spans: Sequence[Dict[str, Any]], records: Sequence[Dict[str, A
                     rx_frame["start_ns"] if rx_frame is not None else drv_rx["time"],
                     drv_rx["time"]),
         PathSegment("bottom halves", "kernel", drv_rx["time"], clic_rx["start_ns"]),
-        PathSegment("CLIC_MODULE rx + copy to user", "clic",
-                    clic_rx["start_ns"], clic_rx["end_ns"]),
+        PathSegment("CLIC_MODULE rx", "clic", clic_rx["start_ns"], mod_rx["time"]),
+        PathSegment("copy to user", "clic", mod_rx["time"], clic_rx["end_ns"]),
         PathSegment("wake + reschedule", "kernel", clic_rx["end_ns"], wake["time"]),
     ]
     # Zero-length hops (e.g. a driver_tx instant coinciding with the span
@@ -356,7 +362,8 @@ def critical_path(spans: Sequence[Dict[str, Any]], records: Sequence[Dict[str, A
                 f"non-causal hop {seg.name!r} for packet {packet_id} "
                 f"({seg.start_ns} -> {seg.end_ns})")
     return CriticalPath(packet_id, [s for s in segments if s.duration_ns > 0.0]
-                        or segments[:1])
+                        or segments[:1],
+                        direct=bool((clic_rx.get("attrs") or {}).get("direct")))
 
 
 def layer_attribution(path: CriticalPath) -> Dict[str, float]:
@@ -377,39 +384,57 @@ def attribution_table(layers_ns: Dict[str, float],
     return _format_table(["layer", "us", "%"], rows, title=title)
 
 
-#: critical-path hop name -> classic Figure-7 stage title
-_HOP_TO_STAGE = {
-    "syscall entry": "sender: syscall + CLIC_MODULE + driver",
-    "CLIC_MODULE tx + copy": "sender: syscall + CLIC_MODULE + driver",
-    "driver tx call": "sender: syscall + CLIC_MODULE + driver",
-    "NIC DMA + serialize": "NIC DMA + flight",
-    "flight + switch": "NIC DMA + flight",
-    "NIC rx buffer": "NIC DMA + flight",
-    "interrupt coalescing": "NIC DMA + flight",
-    "irq entry": "receiver: driver interrupt (NIC->system copy)",
-    "NIC->system copy": "receiver: driver interrupt (NIC->system copy)",
-    "bottom halves": "receiver: post-DMA software path",
-    "CLIC_MODULE rx + copy to user": "receiver: post-DMA software path",
-    "wake + reschedule": "receiver: post-DMA software path",
+_SENDER_STAGE = ("sender: syscall + CLIC_MODULE + driver",
+                 "syscall entry", "CLIC_MODULE tx + copy", "driver tx call")
+_FLIGHT_STAGE = ("NIC DMA + flight", "NIC DMA + serialize", "flight + switch",
+                 "NIC rx buffer", "interrupt coalescing")
+
+#: Figure-7 stages as ``(title, critical-path hops...)``, keyed by
+#: :attr:`CriticalPath.direct`: the stock path of Figure 7(a) and the
+#: direct driver->CLIC_MODULE call of Figure 8(b)
+_FIG7_STAGES = {
+    False: (
+        _SENDER_STAGE,
+        _FLIGHT_STAGE,
+        ("receiver: driver interrupt (NIC->system copy)",
+         "irq entry", "NIC->system copy"),
+        ("bottom halves -> CLIC_MODULE", "bottom halves", "CLIC_MODULE rx"),
+        ("CLIC_MODULE copy to user + wake", "copy to user", "wake + reschedule"),
+    ),
+    True: (
+        _SENDER_STAGE,
+        _FLIGHT_STAGE,
+        ("receiver: driver interrupt (direct DMA)",
+         "irq entry", "NIC->system copy"),
+        ("CLIC_MODULE direct call + copy + wake", "bottom halves",
+         "CLIC_MODULE rx", "copy to user", "wake + reschedule"),
+    ),
 }
 
 
-def fig7_stage_durations(path: CriticalPath) -> Dict[str, float]:
-    """Regroup a critical path into Figure-7 stage durations (ns).
+def fig7_stages(path: CriticalPath) -> List[Tuple[str, float, float]]:
+    """The Figure-7 stages of a critical path as ``(title, start_ns,
+    end_ns)``.
 
-    The receiver's two software stages (bottom halves and the module
-    copy/wake) are merged into one ``post-DMA software path`` bucket:
-    the span boundaries (the ``clic_rx`` span begin) sit slightly
-    earlier than the legacy ``module_rx`` instant the flat-trace
-    extractor anchors on, so only the *merged* stage is well-defined
-    from spans alone.  Cross-check accordingly.
+    A stage runs from its first hop's start to its last hop's end, so
+    the boundaries are the path's own (no durations are summed); a
+    stage whose hops all dropped out as zero-length is empty.  Raises
+    :class:`KeyError` on a hop no stage claims.
     """
-    out: Dict[str, float] = {}
+    stages = _FIG7_STAGES[path.direct]
+    known = {hop for _, *hops in stages for hop in hops}
     for seg in path.segments:
-        stage = _HOP_TO_STAGE.get(seg.name)
-        if stage is None:
+        if seg.name not in known:
             raise KeyError(f"hop {seg.name!r} has no Figure-7 stage mapping")
-        out[stage] = out.get(stage, 0.0) + seg.duration_ns
+    out: List[Tuple[str, float, float]] = []
+    start = path.segments[0].start_ns
+    for title, *hops in stages:
+        end = start
+        for seg in path.segments:
+            if seg.name in hops:
+                end = seg.end_ns
+        out.append((title, start, end))
+        start = end
     return out
 
 

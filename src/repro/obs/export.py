@@ -29,9 +29,6 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 __all__ = [
     "RUN_SCHEMA",
-    "RUN_SCHEMA_V1",
-    "RUN_SCHEMA_V2",
-    "RUN_SCHEMA_V3",
     "RunArtifact",
     "chrome_trace_events",
     "chrome_trace_json",
@@ -41,19 +38,12 @@ __all__ = [
     "timeseries_of",
 ]
 
-#: current artifact schema: v4 adds the SLO scorecard (``slo``) and
-#: structured health events (``health``); v3 added message journeys
-#: (``journeys``) and sampled time series (``timeseries``); v2 added the
-#: aggregated EnvProfiler snapshot (``profile``).  Loading accepts
-#: v1/v2/v3 documents and upgrades them in place (the new fields just
-#: stay empty).
+#: the artifact schema; loading rejects every other version
 RUN_SCHEMA = "repro.run/4"
-RUN_SCHEMA_V3 = "repro.run/3"
-RUN_SCHEMA_V2 = "repro.run/2"
-RUN_SCHEMA_V1 = "repro.run/1"
 BATCH_SCHEMA = "repro.run-batch/1"
 
-#: trace-record event names that carry span bookkeeping (already
+#: span bookkeeping events that v4 artifacts written before spans
+#: stopped being mirrored into the record stream still carry (already
 #: represented as complete "X" events, so not re-exported as instants)
 _SPAN_MARKERS = ("span_begin", "span_end")
 
@@ -301,17 +291,12 @@ class RunArtifact:
         if not isinstance(data, dict):
             raise ValueError(f"artifact must be a JSON object, got {type(data).__name__}")
         schema = data.get("schema")
-        if schema not in (RUN_SCHEMA, RUN_SCHEMA_V3, RUN_SCHEMA_V2, RUN_SCHEMA_V1):
+        if schema != RUN_SCHEMA:
             raise ValueError(f"unknown artifact schema {schema!r} (want {RUN_SCHEMA!r})")
         if not data.get("experiment"):
             raise ValueError("artifact missing 'experiment'")
         fields = {f.name for f in dataclasses.fields(cls)}
-        loaded = cls(**{k: v for k, v in data.items() if k in fields})
-        # v1/v2/v3 documents upgrade in place: same fields, the newer
-        # ones (profile / journeys / timeseries / slo / health) just
-        # stay empty.
-        loaded.schema = RUN_SCHEMA
-        return loaded
+        return cls(**{k: v for k, v in data.items() if k in fields})
 
     @classmethod
     def load(cls, path: str) -> "RunArtifact":

@@ -9,11 +9,10 @@ user process never becomes the parent of an interrupt handler that
 merely fires while the process sleeps — the handler runs in its own
 sim process and gets its own stack).
 
-The :class:`Tracer` also emits every begin/end into the flat
-:class:`repro.sim.Trace` (events ``span_begin``/``span_end``) so the
-classic record stream stays a superset of the old format, and it keeps
-an index of *instant* (point) events so Figure-7 stage extraction is a
-lookup, not a linear scan over the whole trace.
+Each traced fact is stored once: spans live in :attr:`Tracer.spans`,
+and *instants* (point events such as ``driver_rx``) are appended to
+the flat :class:`repro.sim.Trace` the tracer owns — nowhere else.  The
+tracer is enabled exactly when that trace is.
 
 Everything is cheap when tracing is disabled: one attribute check and a
 shared :data:`NULL_SPAN` singleton on the hot paths.
@@ -26,18 +25,9 @@ the ``trace`` argument only needs a ``.record`` method and an
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-__all__ = ["Span", "Instant", "Tracer", "NULL_SPAN"]
-
-
-class Instant(NamedTuple):
-    """A point event kept in the tracer's by-name index."""
-
-    time: float
-    scope: str
-    name: str
-    detail: Dict[str, Any]
+__all__ = ["Span", "Tracer", "NULL_SPAN"]
 
 
 class Span:
@@ -93,10 +83,6 @@ class Span:
     def duration_us(self) -> float:
         return self.duration_ns / 1000.0
 
-    def contains(self, t: float) -> bool:
-        """True when ``t`` falls inside the (closed) span."""
-        return self.end_ns is not None and self.start_ns <= t <= self.end_ns
-
     def to_dict(self) -> Dict[str, Any]:
         """Plain-dict form used by exporters and artifacts."""
         return {
@@ -136,9 +122,6 @@ class _NullSpan:
     def end(self, **attrs: Any) -> "_NullSpan":
         return self
 
-    def contains(self, t: float) -> bool:
-        return False
-
     def __enter__(self) -> "_NullSpan":
         return self
 
@@ -156,13 +139,12 @@ _DETACHED = object()
 
 
 class Tracer:
-    """Factory and index for spans/instants of one simulation run."""
+    """Factory and index for the spans of one simulation run; instants
+    go to the flat ``trace`` it owns (``None`` = tracing off)."""
 
-    def __init__(self, env: Any, trace: Any = None, enabled: Optional[bool] = None):
+    def __init__(self, env: Any, trace: Any = None):
         self.env = env
         self.trace = trace
-        #: explicit override; when None, follows ``trace.enabled``
-        self._enabled = enabled
         #: optional :class:`repro.obs.journey.JourneyRecorder`; ``None``
         #: (the default) disables journey capture — instrumented hop
         #: sites check this attribute inline, independent of span
@@ -173,14 +155,11 @@ class Tracer:
         self.spans: List[Span] = []
         self._stacks: Dict[Any, List[Span]] = {}
         self._by_name: Dict[Tuple[str, str], List[Span]] = {}
-        self._instants: Dict[str, List[Instant]] = {}
 
     # -- state -----------------------------------------------------------
     @property
     def enabled(self) -> bool:
-        if self._enabled is not None:
-            return self._enabled
-        return bool(self.trace is not None and self.trace.enabled)
+        return self.trace is not None and self.trace.enabled
 
     # -- span lifecycle --------------------------------------------------
     def begin(self, scope: str, name: str, parent: Optional[Span] = None,
@@ -222,16 +201,12 @@ class Tracer:
         span = Span(self, self._seq, scope, name, now, parent_id, dict(attrs), key)
         self.spans.append(span)
         self._by_name.setdefault((scope, name), []).append(span)
-        if self.trace is not None:
-            self.trace.record(now, scope, "span_begin",
-                              span=span.span_id, name=name, parent=parent_id)
         return span
 
     def _end(self, span: Span) -> None:
         if span.end_ns is not None:
             raise ValueError(f"span {span.name!r} ended twice")
-        now = self.env.now
-        span.end_ns = now
+        span.end_ns = self.env.now
         stack = self._stacks.get(span._key)
         if stack is not None:
             for i in range(len(stack) - 1, -1, -1):
@@ -240,21 +215,12 @@ class Tracer:
                     break
             if not stack:
                 del self._stacks[span._key]
-        if self.trace is not None:
-            self.trace.record(now, span.scope, "span_end",
-                              span=span.span_id, name=span.name,
-                              dur_ns=now - span.start_ns, **span.attrs)
 
     # -- instants --------------------------------------------------------
     def instant(self, scope: str, name: str, **detail: Any) -> None:
-        """Record a point event (also mirrored into the flat trace under
-        the same event name, so legacy record consumers see no change)."""
-        if not self.enabled:
-            return
-        now = self.env.now
-        self._instants.setdefault(name, []).append(Instant(now, scope, name, detail))
-        if self.trace is not None:
-            self.trace.record(now, scope, name, **detail)
+        """Record a point event in the owned trace (event = ``name``)."""
+        if self.enabled:
+            self.trace.record(self.env.now, scope, name, **detail)
 
     # -- lookups ---------------------------------------------------------
     def find(self, scope: Optional[str] = None, name: Optional[str] = None,
@@ -281,32 +247,6 @@ class Tracer:
         found = self.find(scope=scope, name=name, scope_prefix=scope_prefix, **attrs)
         return found[0] if found else None
 
-    def containing(self, t: float, name: Optional[str] = None,
-                   scope_prefix: Optional[str] = None) -> Optional[Span]:
-        """The latest-starting closed span that contains time ``t``."""
-        best: Optional[Span] = None
-        for span in self.find(name=name, scope_prefix=scope_prefix):
-            if span.contains(t) and (best is None or span.start_ns >= best.start_ns):
-                best = span
-        return best
-
-    def instants(self, name: str, scope_prefix: Optional[str] = None,
-                 **detail: Any) -> List[Instant]:
-        """Indexed lookup of point events by name (+ scope/detail filter)."""
-        out = self._instants.get(name, [])
-        if scope_prefix is not None:
-            out = [i for i in out if i.scope.startswith(scope_prefix)]
-        if detail:
-            out = [i for i in out
-                   if all(i.detail.get(k) == v for k, v in detail.items())]
-        return list(out)
-
-    def first_instant(self, name: str, scope_prefix: Optional[str] = None,
-                      **detail: Any) -> Optional[Instant]:
-        """First instant matching the :meth:`instants` filters, or ``None``."""
-        found = self.instants(name, scope_prefix=scope_prefix, **detail)
-        return found[0] if found else None
-
     # -- maintenance -----------------------------------------------------
     @property
     def open_spans(self) -> List[Span]:
@@ -314,11 +254,10 @@ class Tracer:
         return [s for s in self.spans if s.end_ns is None]
 
     def clear(self) -> None:
-        """Drop all spans and instants (the id sequence keeps counting)."""
+        """Drop all spans (the id sequence keeps counting)."""
         self.spans.clear()
         self._stacks.clear()
         self._by_name.clear()
-        self._instants.clear()
 
     def __repr__(self) -> str:
         return f"<Tracer spans={len(self.spans)} enabled={self.enabled}>"

@@ -27,7 +27,7 @@ from ..config import KernelParams, MemoryParams
 from ..hw.cpu import PRIO_IRQ, PRIO_KERNEL, PRIO_SOFTIRQ, PRIO_USER, Cpu
 from ..hw.memory import MemoryBus
 from ..obs import MetricsRegistry, Tracer
-from ..sim import Counters, Environment, Event, Trace
+from ..sim import Counters, Environment, Event
 from .interrupts import BottomHalves, IrqController
 
 __all__ = ["Kernel"]
@@ -43,7 +43,6 @@ class Kernel:
         cpu: Cpu,
         memory: MemoryBus,
         name: str = "kernel",
-        trace: Optional[Trace] = None,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
     ):
@@ -52,9 +51,9 @@ class Kernel:
         self.cpu = cpu
         self.memory = memory
         self.name = name
-        self.trace = trace if trace is not None else Trace(enabled=False)
-        #: span tracer; shared cluster-wide when supplied, private otherwise
-        self.tracer = tracer if tracer is not None else Tracer(env, self.trace)
+        #: span tracer; shared cluster-wide when supplied, a disabled
+        #: private one otherwise
+        self.tracer = tracer if tracer is not None else Tracer(env)
         #: typed metrics registry (counters/gauges/histograms)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.counters = Counters(registry=self.metrics, prefix=f"{name}.")

@@ -2,10 +2,11 @@
 
 The experiments need three kinds of observability:
 
-* **Trace** — timestamped named records, indexed by event name (used to
-  extract the Figure 7 per-stage pipeline timeline of a packet); the
-  span layer in :mod:`repro.obs.span` emits its begin/end markers here
-  too, so the record stream stays the single source of truth.
+* **Trace** — timestamped named point events (``driver_rx``,
+  ``module_rx``, ``wake``, ...).  It is the only store of instants: the
+  :class:`~repro.obs.span.Tracer` that owns it appends them here, while
+  spans live on the tracer alone.  :func:`repro.obs.critical_path`
+  anchors the Figure 7 per-stage pipeline of a packet on these records.
 * **Counter** — monotonically increasing event tallies (interrupt counts
   for the Section 2 analysis, packets, retransmissions, ...).  Since the
   observability refactor, :class:`Counters` is a thin dict-like face
@@ -43,52 +44,24 @@ class TraceRecord:
 
 
 class Trace:
-    """An append-only trace of :class:`TraceRecord` entries.
-
-    Records are additionally indexed by event name, so stage extraction
-    (:mod:`repro.analysis.timeline`) is a lookup instead of a scan over
-    the whole trace.
-    """
+    """An append-only trace of :class:`TraceRecord` entries."""
 
     def __init__(self, enabled: bool = False):
         self.enabled = enabled
         self.records: List[TraceRecord] = []
-        self._by_event: Dict[str, List[TraceRecord]] = {}
 
     def record(self, time: float, source: str, event: str, **detail: Any) -> None:
         """Append a record (no-op when tracing is disabled)."""
         if self.enabled:
-            rec = TraceRecord(time, source, event, detail)
-            self.records.append(rec)
-            self._by_event.setdefault(event, []).append(rec)
-
-    def by_event(self, event: str) -> List[TraceRecord]:
-        """All records with the given event name (indexed, append order)."""
-        return list(self._by_event.get(event, ()))
-
-    def first(
-        self,
-        event: str,
-        source_suffix: str = "",
-        source_prefix: str = "",
-        **detail: Any,
-    ) -> Optional[TraceRecord]:
-        """First record of ``event`` matching source affixes + detail."""
-        for r in self._by_event.get(event, ()):
-            if source_suffix and not r.source.endswith(source_suffix):
-                continue
-            if source_prefix and not r.source.startswith(source_prefix):
-                continue
-            if all(r.detail.get(k) == v for k, v in detail.items()):
-                return r
-        return None
+            self.records.append(TraceRecord(time, source, event, detail))
 
     def filter(self, source: Optional[str] = None, event: Optional[str] = None) -> List[TraceRecord]:
         """All records matching the given source and/or event name."""
-        out = self._by_event.get(event, []) if event is not None else self.records
-        if source is not None:
-            out = [r for r in out if r.source == source]
-        return list(out)
+        return [
+            r for r in self.records
+            if (source is None or r.source == source)
+            and (event is None or r.event == event)
+        ]
 
     def matching(self, **detail: Any) -> List[TraceRecord]:
         """All records whose detail dict contains every given key/value."""
@@ -101,7 +74,6 @@ class Trace:
     def clear(self) -> None:
         """Drop all records."""
         self.records.clear()
-        self._by_event.clear()
 
     def __len__(self) -> int:
         return len(self.records)

@@ -43,6 +43,7 @@ from .obs import (
     SLOSpec,
     chrome_trace_json,
     evaluate,
+    fig7_stages,
     journey_latency_summary,
     outlier_report,
     records_of,
@@ -59,19 +60,19 @@ __all__ = ["PIPELINE_SCOPE", "capture_fig4_point", "capture_fig7",
 PIPELINE_SCOPE = "fig7.pipeline"
 
 
-def _stage_spans(timeline, first_id: int) -> List[Dict[str, Any]]:
+def _stage_spans(path, first_id: int) -> List[Dict[str, Any]]:
     """Synthetic complete spans, one per Figure-7 pipeline stage."""
     return [
         {
             "id": first_id + i,
             "scope": PIPELINE_SCOPE,
-            "name": stage.name,
-            "start_ns": stage.start_ns,
-            "end_ns": stage.end_ns,
+            "name": name,
+            "start_ns": start_ns,
+            "end_ns": end_ns,
             "parent": None,
-            "attrs": {"pkt": timeline.packet_id, "stage": i},
+            "attrs": {"pkt": path.packet_id, "stage": i},
         }
-        for i, stage in enumerate(timeline.stages)
+        for i, (name, start_ns, end_ns) in enumerate(fig7_stages(path))
     ]
 
 
@@ -85,20 +86,21 @@ def capture_fig7(direct: bool = False) -> RunArtifact:
     """
     from .experiments import fig7
 
-    cluster, pkt_id, timeline, done_ns = fig7.capture(direct_rx=direct)
+    cluster, path, done_ns = fig7.capture(direct_rx=direct)
     spans = spans_of(cluster.tracer)
     next_id = max((s["id"] for s in spans), default=0) + 1
-    spans.extend(_stage_spans(timeline, next_id))
+    stage_spans = _stage_spans(path, next_id)
+    spans.extend(stage_spans)
     profiler = cluster.env.profiler
     return RunArtifact(
         experiment="fig7.direct" if direct else "fig7",
         result={
-            "packet_id": pkt_id,
+            "packet_id": path.packet_id,
             "done_ns": done_ns,
-            "total_us": timeline.total_us,
+            "total_us": path.total_us,
             "stages": [
-                {"name": s.name, "start_ns": s.start_ns, "end_ns": s.end_ns}
-                for s in timeline.stages
+                {"name": s["name"], "start_ns": s["start_ns"], "end_ns": s["end_ns"]}
+                for s in stage_spans
             ],
         },
         metrics=cluster.metrics.snapshot(),

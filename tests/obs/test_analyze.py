@@ -1,12 +1,14 @@
 """Trace-analytics tests: span trees, self-time, critical paths, layers."""
 
+import os
+
 import pytest
 
 from repro.obs import (
     LAYERS,
     attribution_table,
     critical_path,
-    fig7_stage_durations,
+    fig7_stages,
     layer_attribution,
     scope_stats,
     span_tree,
@@ -102,23 +104,18 @@ def test_critical_path_covers_figure7_window(fig7_artifact):
     assert "TOTAL" in attribution_table(layers)
 
 
-def test_span_attribution_matches_fig7_experiment(fig7_artifact):
-    """The headline acceptance check: span-derived stage durations agree
-    with the classic flat-trace extraction within 5%."""
-    art = fig7_artifact
-    path = critical_path(art.spans, art.records, art.result["packet_id"],
-                         "node0", "node1")
-    derived = fig7_stage_durations(path)
-    legacy = {}
-    for stage in art.result["stages"]:
-        name = stage["name"]
-        if name in ("bottom halves -> CLIC_MODULE",
-                    "CLIC_MODULE copy to user + wake"):
-            name = "receiver: post-DMA software path"
-        legacy[name] = legacy.get(name, 0.0) + stage["end_ns"] - stage["start_ns"]
-    assert set(derived) == set(legacy)
-    for name, want in legacy.items():
-        assert derived[name] == pytest.approx(want, rel=0.05), name
+@pytest.mark.parametrize("variant", ["stock", "direct"])
+def test_fig7_chrome_export_matches_golden(variant, tmp_path):
+    """Pin every Figure-7 stage boundary: the ``fig7.pipeline`` slices of
+    ``python -m repro.trace --chrome`` are byte-compared against exports
+    recorded while the stages still came from a separate extractor."""
+    from repro.trace import main
+
+    out = tmp_path / "fig7.json"
+    assert main(["--chrome", "--variant", variant, "-o", str(out)]) == 0
+    golden = os.path.join(os.path.dirname(__file__), f"golden_fig7_{variant}.json")
+    with open(golden) as fh:
+        assert out.read_text() == fh.read()
 
 
 def test_critical_path_rejects_incomplete_traces(fig7_artifact):
@@ -139,4 +136,4 @@ def test_fig7_stage_durations_rejects_unknown_hops():
 
     path = CriticalPath(1, [PathSegment("martian hop", "kernel", 0.0, 1.0)])
     with pytest.raises(KeyError, match="martian"):
-        fig7_stage_durations(path)
+        fig7_stages(path)

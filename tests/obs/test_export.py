@@ -7,7 +7,6 @@ import pytest
 
 from repro.obs import (
     RUN_SCHEMA,
-    RUN_SCHEMA_V1,
     RunArtifact,
     chrome_trace_events,
     chrome_trace_json,
@@ -100,15 +99,12 @@ def test_run_artifact_to_dict_is_a_fixed_point():
     assert once["profile"]["per_type"] == {"timer": 4}
 
 
-def test_run_artifact_loads_schema_v1():
-    """Pre-profile artifacts (schema v1) load and upgrade in place."""
-    art = RunArtifact.from_dict({
-        "schema": RUN_SCHEMA_V1, "experiment": "fig7",
-        "result": {"total_us": 84.9},
-    })
-    assert art.schema == RUN_SCHEMA  # upgraded on load
-    assert art.profile == {}
-    assert art.result["total_us"] == 84.9
+def test_run_artifact_rejects_old_schemas():
+    """Only the current schema loads; v1-v3 documents have no upgrade path."""
+    for schema in ("repro.run/1", "repro.run/2", "repro.run/3"):
+        with pytest.raises(ValueError, match="unknown artifact schema"):
+            RunArtifact.from_dict({"schema": schema, "experiment": "fig7",
+                                   "result": {"total_us": 84.9}})
 
 
 def test_chrome_export_is_deterministic_across_runs():

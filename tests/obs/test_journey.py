@@ -182,11 +182,14 @@ def test_artifact_roundtrip_preserves_journeys_and_timeseries(tmp_path, lossy_ru
     assert loaded == art
     assert loaded.to_json() == art.to_json()
     assert loaded.chrome_json() == art.chrome_json()
-    # v2 documents (no journeys/timeseries) still load and upgrade
+    # a document without journeys/timeseries loads them empty
     doc = art.to_dict()
     doc.pop("journeys")
     doc.pop("timeseries")
+    bare = RunArtifact.from_dict(doc)
+    assert bare.schema == "repro.run/4"
+    assert bare.journeys == [] and bare.timeseries == {}
+    # an older schema is refused, not upgraded
     doc["schema"] = "repro.run/2"
-    old = RunArtifact.from_dict(doc)
-    assert old.schema == "repro.run/4"
-    assert old.journeys == [] and old.timeseries == {}
+    with pytest.raises(ValueError, match="unknown artifact schema"):
+        RunArtifact.from_dict(doc)

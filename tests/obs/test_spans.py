@@ -3,7 +3,7 @@
 import pytest
 
 from repro.obs import NULL_SPAN, Tracer
-from repro.sim import Environment, Trace
+from repro.sim import Environment, Trace, TraceRecord
 
 
 def make_tracer(enabled=True):
@@ -30,9 +30,8 @@ def test_spans_nest_within_one_process():
     assert outer.parent_id is None
     assert inner.start_ns == 0 and inner.end_ns == 10
     assert outer.duration_ns == 15
-    # begin/end markers were mirrored into the flat trace.
-    assert len(trace.by_event("span_begin")) == 2
-    assert len(trace.by_event("span_end")) == 2
+    # Spans live on the tracer only: nothing is mirrored into the trace.
+    assert len(trace) == 0
 
 
 def test_concurrent_processes_do_not_cross_parent():
@@ -65,8 +64,10 @@ def test_disabled_tracer_returns_null_span():
     span.annotate(a=1).end()
     tracer.instant("x", "z")
     assert tracer.spans == []
-    assert tracer.instants("z") == []
     assert len(trace) == 0
+    # With no trace at all the tracer is off too.
+    bare = Tracer(env)
+    assert not bare.enabled and bare.begin("x", "y") is NULL_SPAN
 
 
 def test_span_double_end_raises_and_open_spans():
@@ -99,12 +100,9 @@ def test_lookups_and_containing():
     assert len(tracer.find(scope="node1.eth0", name="irq")) == 2
     assert tracer.find(scope_prefix="node1", name="irq")[0].start_ns == 0
     assert tracer.first(name="nonexistent") is None
-    inst = tracer.first_instant("driver_rx", pkt=7)
-    assert inst.time == 10
-    assert tracer.first_instant("driver_rx", pkt=8) is None
-    hit = tracer.containing(25, name="irq")
-    assert hit.start_ns == 20
-    assert tracer.containing(15, name="irq") is None
+    # The owned trace contains the instant, stored there once.
+    assert tracer.trace is trace
+    assert trace.records == [TraceRecord(10, "node1.eth0", "driver_rx", {"pkt": 7})]
 
 
 def test_same_seed_runs_are_byte_identical():
@@ -114,7 +112,7 @@ def test_same_seed_runs_are_byte_identical():
     from repro.obs import chrome_trace_json, records_of, spans_of
 
     def one_run():
-        cluster, pkt_id, timeline, done = fig7.capture(direct_rx=False)
+        cluster, path, done = fig7.capture(direct_rx=False)
         spans = spans_of(cluster.tracer)
         return spans, chrome_trace_json(spans, records_of(cluster.trace))
 

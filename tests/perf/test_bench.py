@@ -33,14 +33,16 @@ def test_bench_document_structure(fig7_doc):
 
 
 def test_fig7_scenario_layer_budget(fig7_doc):
-    """The fig7 scenario carries the per-layer attribution and passed its
-    internal 5% cross-check against the classic extraction."""
+    """The fig7 scenario carries the per-layer attribution and the five
+    paper stages, both read off one critical path."""
     scenario = fig7_doc["scenarios"]["fig7"]
     layers = scenario["metrics"]["layers_us"]
     gates = scenario["gates"]
     assert gates["total_us"]["value"] == pytest.approx(
         sum(layers.values()), rel=1e-6)
-    assert scenario["metrics"]["crosscheck_max_rel"] <= 0.05
+    stages = scenario["metrics"]["stages_us"]
+    assert len(stages) == 5
+    assert sum(stages.values()) == pytest.approx(gates["total_us"]["value"], rel=1e-9)
     shares = scenario["metrics"]["layer_shares"]
     assert sum(shares.values()) == pytest.approx(1.0)
     # Every nonzero layer is individually gated.

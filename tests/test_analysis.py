@@ -1,4 +1,5 @@
-"""Tests for the analysis helpers: tables, plots, metrics, timelines."""
+"""Tests for the analysis helpers: tables, plots, metrics, and the
+Figure-7 stages read off :func:`repro.obs.critical_path`."""
 
 import pytest
 
@@ -107,9 +108,9 @@ def test_crossover_and_ratio():
 
 
 def test_timeline_extraction_from_real_trace():
-    from repro.analysis import extract_packet_timeline
     from repro.cluster import Cluster
     from repro.config import granada2003
+    from repro.obs import critical_path, fig7_stages, records_of, spans_of
     from repro.protocols.clic import ClicEndpoint
 
     cluster = Cluster(granada2003(trace=True))
@@ -125,76 +126,102 @@ def test_timeline_extraction_from_real_trace():
     p0.run(a)
     done = p1.run(b)
     cluster.env.run(done)
-    pkt = [r for r in cluster.trace.records if r.event == "driver_tx"][0].detail["pkt"]
-    timeline = extract_packet_timeline(cluster.trace, pkt, "node0", "node1")
-    names = [s.name for s in timeline.stages]
+    pkt = cluster.trace.filter(event="driver_tx")[0].detail["pkt"]
+    path = critical_path(spans_of(cluster.tracer), records_of(cluster.trace),
+                         pkt, "node0", "node1")
+    stages = fig7_stages(path)
+    names = [name for name, _, _ in stages]
     assert "NIC DMA + flight" in names
-    assert timeline.total_us > 0
-    # Stages are contiguous and ordered.
-    for first, second in zip(timeline.stages, timeline.stages[1:]):
-        assert first.end_ns == second.start_ns
-    rows = timeline.as_rows()
-    assert len(rows) == len(timeline.stages)
-    with pytest.raises(KeyError):
-        timeline.stage("nonexistent")
+    assert path.total_us > 0
+    # Stages are contiguous, ordered, and span the whole path.
+    for first, second in zip(stages, stages[1:]):
+        assert first[2] == second[1]
+        assert first[1] <= first[2]
+    assert stages[0][1] == path.segments[0].start_ns
+    assert stages[-1][2] == path.segments[-1].end_ns
 
 
 def test_timeline_missing_packet_raises():
-    from repro.analysis import extract_packet_timeline
-    from repro.sim import Trace
+    from repro.obs import critical_path
 
     with pytest.raises(ValueError, match="missing"):
-        extract_packet_timeline(Trace(enabled=True), 999, "node0", "node1")
+        critical_path([], [], 999, "node0", "node1")
 
 
-def _synthetic_trace(irq_times):
-    """A minimal trace with all Figure-7 anchor records for packet 7."""
-    from repro.sim import Trace
+def _span(id, scope, name, start, end, **attrs):
+    return {"id": id, "scope": scope, "name": name, "start_ns": float(start),
+            "end_ns": float(end), "parent": None, "attrs": attrs}
 
-    trace = Trace(enabled=True)
-    trace.record(0.0, "node0.kernel", "syscall_enter", label="clic_send")
-    trace.record(5.0, "node0.eth0", "driver_tx", pkt=7)
-    for t in irq_times:
-        trace.record(t, "node1.eth0", "irq_begin")
-    trace.record(25.0, "node1.eth0", "driver_rx", pkt=7, t0=20.0)
-    trace.record(30.0, "node1.clic", "module_rx", pkt=7)
-    trace.record(40.0, "node1.kernel", "wake", label="recv:1")
-    return trace
+
+def _record(time, source, event, **detail):
+    return {"time": float(time), "source": source, "event": event,
+            "detail": detail}
+
+
+def _synthetic_trace(irq_times, direct=False):
+    """Minimal span and record dicts with every Figure-7 anchor for
+    packet 7: its frame is drained at 25.0 by the irq opened at 20.0
+    whenever one is listed in ``irq_times``."""
+    spans = [
+        _span(1, "node0.kernel", "syscall", 0, 50, label="clic_send"),
+        _span(2, "node0.clic", "clic_send", 1, 4),
+        _span(3, "node0.nic0", "nic_tx", 5, 8),
+        _span(4, "node1.nic0", "nic_rx", 9, 9.5),
+    ]
+    for i, t in enumerate(irq_times):
+        spans.append(_span(10 + i, "node1.eth0", "irq", t, t + 1, direct=direct))
+    spans += [
+        _span(20, "node1.eth0", "rx_frame", 22, 25, pkt=7),
+        _span(21, "node1.clic", "clic_rx", 27, 33, pkt=7, direct=direct),
+    ]
+    records = [
+        _record(0, "node0.kernel", "syscall_enter", label="clic_send"),
+        _record(5, "node0.eth0", "driver_tx", pkt=7),
+    ]
+    records += [_record(t, "node1.eth0", "irq_begin") for t in irq_times]
+    records += [
+        _record(25, "node1.eth0", "driver_rx", pkt=7, t0=22.0),
+        _record(30, "node1.clic", "module_rx", pkt=7),
+        _record(40, "node1.kernel", "wake", label="recv:1"),
+    ]
+    return spans, records
 
 
 def test_timeline_picks_latest_irq_begin_before_driver_rx():
     """Regression: the guard used to be a tautology (r.time <= r.time)
     and with coalesced interrupts any earlier irq_begin could win."""
-    from repro.analysis import extract_packet_timeline
+    from repro.obs import critical_path, fig7_stages
 
-    trace = _synthetic_trace(irq_times=[10.0, 20.0, 35.0])
-    timeline = extract_packet_timeline(trace, 7, "node0", "node1")
-    irq_stage = timeline.stage("receiver: driver interrupt (NIC->system copy)")
-    # The 20.0 irq_begin (latest at or before driver_rx@25.0) anchors the
+    spans, records = _synthetic_trace(irq_times=[10.0, 20.0, 35.0])
+    stages = fig7_stages(critical_path(spans, records, 7, "node0", "node1"))
+    assert stages[2] == ("receiver: driver interrupt (NIC->system copy)", 20.0, 25.0)
+    # The 20.0 irq (latest at or before driver_rx@25.0) anchors the
     # stage — not 10.0 (earlier) and not 35.0 (after the drain).
-    assert irq_stage.start_ns == 20.0
-    assert irq_stage.end_ns == 25.0
+    assert stages[1] == ("NIC DMA + flight", 5.0, 20.0)
+    assert stages[3] == ("bottom halves -> CLIC_MODULE", 25.0, 30.0)
+    assert stages[4] == ("CLIC_MODULE copy to user + wake", 30.0, 40.0)
+
+
+def test_direct_timeline_picks_latest_irq_begin_before_driver_rx():
+    """The direct Figure 8(b) variant anchors on the same interrupt as
+    the stock path: the latest one at or before the frame's driver_rx,
+    not the receiver's first interrupt."""
+    from repro.obs import critical_path, fig7_stages
+
+    spans, records = _synthetic_trace(irq_times=[10.0, 20.0, 35.0], direct=True)
+    path = critical_path(spans, records, 7, "node0", "node1")
+    assert path.direct
+    assert fig7_stages(path) == [
+        ("sender: syscall + CLIC_MODULE + driver", 0.0, 5.0),
+        ("NIC DMA + flight", 5.0, 20.0),
+        ("receiver: driver interrupt (direct DMA)", 20.0, 25.0),
+        ("CLIC_MODULE direct call + copy + wake", 25.0, 40.0),
+    ]
 
 
 def test_timeline_no_irq_before_driver_rx_raises():
-    from repro.analysis import extract_packet_timeline
+    from repro.obs import critical_path
 
-    trace = _synthetic_trace(irq_times=[35.0])  # only after driver_rx
-    with pytest.raises(ValueError, match="irq_begin"):
-        extract_packet_timeline(trace, 7, "node0", "node1")
-
-
-def test_span_extraction_matches_record_extraction():
-    """The span port must not move any Figure-7 stage boundary."""
-    from repro.analysis import (
-        extract_packet_timeline,
-        extract_packet_timeline_from_spans,
-    )
-    from repro.experiments import fig7
-
-    cluster, pkt_id, _, _ = fig7.capture(direct_rx=False)
-    from_records = extract_packet_timeline(cluster.trace, pkt_id, "node0", "node1")
-    from_spans = extract_packet_timeline_from_spans(cluster.tracer, pkt_id, "node0", "node1")
-    assert [(s.name, s.start_ns, s.end_ns) for s in from_records.stages] == [
-        (s.name, s.start_ns, s.end_ns) for s in from_spans.stages
-    ]
+    spans, records = _synthetic_trace(irq_times=[35.0])  # only after driver_rx
+    with pytest.raises(ValueError, match="irq"):
+        critical_path(spans, records, 7, "node0", "node1")
