@@ -2,25 +2,16 @@
 
 from .ascii_plot import logx_plot
 from .cpu_report import breakdown_table, categorize, cpu_breakdown
-from .metrics import (
-    crossover_size,
-    interpolate_half_bandwidth,
-    ratio_at,
-    rise_rate,
-    size_reaching,
-)
+from .metrics import interpolate_half_bandwidth, size_reaching
 from .tables import format_series_table, format_table
 
 __all__ = [
     "breakdown_table",
     "categorize",
     "cpu_breakdown",
-    "crossover_size",
     "format_series_table",
     "format_table",
     "interpolate_half_bandwidth",
     "logx_plot",
-    "ratio_at",
-    "rise_rate",
     "size_reaching",
 ]

@@ -3,13 +3,10 @@
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 __all__ = [
     "interpolate_half_bandwidth",
-    "crossover_size",
-    "ratio_at",
-    "rise_rate",
     "size_reaching",
 ]
 
@@ -19,36 +16,7 @@ def interpolate_half_bandwidth(sizes: Sequence[int], mbps: Sequence[float]) -> O
     final bandwidth — the paper's 4 KB / 16 KB metric."""
     if len(sizes) != len(mbps) or not sizes:
         raise ValueError("mismatched or empty curve")
-    target = mbps[-1] / 2
-    for i, bw in enumerate(mbps):
-        if bw >= target:
-            if i == 0:
-                return float(sizes[0])
-            x0, x1 = math.log10(sizes[i - 1]), math.log10(sizes[i])
-            y0, y1 = mbps[i - 1], mbps[i]
-            frac = (target - y0) / (y1 - y0) if y1 != y0 else 0.0
-            return 10 ** (x0 + frac * (x1 - x0))
-    return None
-
-
-def crossover_size(
-    sizes: Sequence[int], curve_a: Sequence[float], curve_b: Sequence[float]
-) -> Optional[int]:
-    """First size where curve A stops beating curve B (None if never)."""
-    for n, a, b in zip(sizes, curve_a, curve_b):
-        if a < b:
-            return n
-    return None
-
-
-def ratio_at(
-    sizes: Sequence[int], curve_a: Sequence[float], curve_b: Sequence[float], nbytes: int
-) -> float:
-    """A/B bandwidth ratio at a given measured size."""
-    idx = list(sizes).index(nbytes)
-    if curve_b[idx] == 0:
-        raise ZeroDivisionError(f"curve B is zero at {nbytes}")
-    return curve_a[idx] / curve_b[idx]
+    return size_reaching(sizes, mbps, mbps[-1] / 2)
 
 
 def size_reaching(sizes: Sequence[int], mbps: Sequence[float], threshold: float) -> Optional[float]:
@@ -64,13 +32,3 @@ def size_reaching(sizes: Sequence[int], mbps: Sequence[float], threshold: float)
             frac = (threshold - y0) / (y1 - y0) if y1 != y0 else 0.0
             return 10 ** (x0 + frac * (x1 - x0))
     return None
-
-
-def rise_rate(sizes: Sequence[int], mbps: Sequence[float], frac: float = 0.8) -> float:
-    """Log-size at which the curve reaches ``frac`` of its asymptote —
-    lower means "rises faster" (the paper's claim about CLIC vs TCP)."""
-    target = mbps[-1] * frac
-    for n, bw in zip(sizes, mbps):
-        if bw >= target:
-            return math.log10(n)
-    return math.log10(sizes[-1])

@@ -72,7 +72,6 @@ class Cluster:
         self,
         cfg: Optional[ClusterConfig] = None,
         protocols: Iterable[str] = ("clic", "tcp"),
-        loss_rate: float = 0.0,
         node_overrides: Optional[dict] = None,
         faults: Optional[FaultPlan] = None,
     ):
@@ -83,9 +82,8 @@ class Cluster:
         ``faults`` is a declarative :class:`~repro.faults.FaultPlan`
         (bursty loss, corruption, scheduled link outages, switch egress
         blackouts) injected deterministically from the cluster's seeded
-        RNG streams; the legacy ``loss_rate`` float is shorthand for
-        ``FaultPlan.uniform(loss_rate)`` and draws the same random
-        sequence it always has."""
+        RNG streams; ``FaultPlan.uniform(p)`` is plain Bernoulli frame
+        loss at rate ``p`` on every link direction."""
         self.cfg = cfg if cfg is not None else ClusterConfig()
         self.protocols = tuple(protocols)
         unknown = set(self.protocols) - _PULL_PROTOCOLS - _PUSH_PROTOCOLS
@@ -130,12 +128,8 @@ class Cluster:
         self._chan_map: dict = {}
         self._port_map: dict = {}
 
-        if faults is not None and loss_rate:
-            raise ValueError("give either loss_rate or a FaultPlan, not both")
         #: the active fault plan (None = clean links)
-        self.faults = faults if faults is not None else (
-            FaultPlan.uniform(loss_rate) if loss_rate else None
-        )
+        self.faults = faults
 
         overrides = node_overrides or {}
         for node_id in range(self.cfg.num_nodes):
@@ -195,8 +189,8 @@ class Cluster:
         """Build the fault injector for one simplex link, or ``None``.
 
         The RNG stream name matches the historical per-link loss streams
-        (``loss.{node}.{ch}.{up|down}``), so a plain ``loss_rate`` run is
-        bit-identical to pre-fault-subsystem builds.
+        (``loss.{node}.{ch}.{up|down}``), so a ``FaultPlan.uniform`` run
+        is bit-identical to pre-fault-subsystem builds.
         """
         if self.faults is None:
             return None

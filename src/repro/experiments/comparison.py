@@ -19,6 +19,7 @@ from typing import Dict
 from ..analysis import format_table
 from ..cluster import Cluster
 from ..config import MTU_JUMBO, granada2003
+from ..faults import FaultPlan
 from ..workloads import clic_pair, gamma_pair, pingpong, stream, via_pair
 from .common import check
 
@@ -30,7 +31,7 @@ def _loss_survivors() -> Dict[str, bool]:
     outcomes = {}
 
     # CLIC: reliable transport.
-    cluster = Cluster(granada2003(mtu=1500), loss_rate=0.1)
+    cluster = Cluster(granada2003(mtu=1500), faults=FaultPlan.uniform(0.1))
     got = []
 
     def clic_tx(proc):
@@ -52,7 +53,8 @@ def _loss_survivors() -> Dict[str, bool]:
     outcomes["CLIC"] = got == [30_000]
 
     # GAMMA: no retransmission.
-    cluster = Cluster(granada2003(mtu=1500), protocols=("gamma",), loss_rate=0.1)
+    cluster = Cluster(granada2003(mtu=1500), protocols=("gamma",),
+                      faults=FaultPlan.uniform(0.1))
     got_g = []
 
     def gamma_tx(proc):
@@ -68,7 +70,8 @@ def _loss_survivors() -> Dict[str, bool]:
     outcomes["GAMMA"] = got_g == [30_000]
 
     # VIA: no reliability either.
-    cluster = Cluster(granada2003(mtu=1500), protocols=("via",), loss_rate=0.1)
+    cluster = Cluster(granada2003(mtu=1500), protocols=("via",),
+                      faults=FaultPlan.uniform(0.1))
     vi_a = cluster.nodes[0].via.create_vi(3)
     vi_b = cluster.nodes[1].via.create_vi(3)
     got_v = []

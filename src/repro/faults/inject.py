@@ -8,10 +8,10 @@ delivered *corrupted* (to be dropped by the receiving NIC's CRC check).
 Draw discipline: the engine consumes its RNG stream in a fixed order
 (loss model first, then corruption, then — for delivered frames only —
 delay jitter, then duplication) and only draws for mechanisms that are
-actually configured — so a plain uniform-loss plan consumes exactly
-one draw per frame, bit-identical to the historical
-``Cluster(loss_rate=...)`` behaviour under the same seed, and adding a
-new fault family never perturbs the draw sequence of an existing plan.
+actually configured — so a plain uniform-loss plan
+(:meth:`~repro.faults.plan.FaultPlan.uniform`) consumes exactly one
+draw per frame, and adding a new fault family never perturbs the draw
+sequence of an existing plan.
 Congestion windows are a deterministic timeline: zero draws.
 """
 

@@ -306,8 +306,8 @@ class FaultPlan:
     # -- convenience constructors -------------------------------------------
     @classmethod
     def uniform(cls, loss_rate: float) -> "FaultPlan":
-        """Bernoulli loss on every link direction (the historical
-        ``Cluster(loss_rate=...)`` behaviour)."""
+        """Bernoulli loss at ``loss_rate`` on every link direction (one
+        RNG draw per frame)."""
         return cls(default_link=LinkFaultSpec(loss_rate=loss_rate))
 
     @classmethod

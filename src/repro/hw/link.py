@@ -22,10 +22,8 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Callable, Generator, Optional
 
-import numpy as np
-
 from ..config import LinkParams
-from ..faults import ChannelFaults, FrameVerdict, LinkFaultSpec
+from ..faults import ChannelFaults, FrameVerdict
 from ..sim import BusyTracker, Counters, Environment, Resource
 from .nic.frames import Frame, frame_time_ns
 
@@ -40,16 +38,12 @@ class Channel:
         env: Environment,
         params: LinkParams,
         name: str = "chan",
-        loss_rate: float = 0.0,
-        rng: Optional[np.random.Generator] = None,
         faults: Optional[ChannelFaults] = None,
         tracer=None,
     ):
         self.env = env
         self.params = params
         self.name = name
-        self.loss_rate = loss_rate
-        self._rng = rng
         self._wire = Resource(env, capacity=1, name=name)
         self._sink: Optional[Callable[[Frame], None]] = None
         self.busy = BusyTracker()
@@ -57,12 +51,7 @@ class Channel:
         #: optional :class:`repro.obs.Tracer`; only its ``journeys``
         #: attribute is consulted (for wire drop / duplicate events)
         self.tracer = tracer
-        if loss_rate and rng is None and faults is None:
-            raise ValueError("loss injection requires an RNG stream")
-        if faults is None and loss_rate:
-            # Legacy constructor path: plain Bernoulli loss from the given
-            # stream (draw-for-draw identical to the historical behaviour).
-            faults = ChannelFaults(LinkFaultSpec(loss_rate=loss_rate), rng=rng)
+        #: per-frame fault verdicts (None = a clean wire)
         self.faults = faults
 
     def _journeys(self):
@@ -176,11 +165,9 @@ class Link:
         env: Environment,
         params: LinkParams,
         name: str = "link",
-        loss_rate: float = 0.0,
-        rng: Optional[np.random.Generator] = None,
     ):
         self.env = env
         self.params = params
         self.name = name
-        self.a_to_b = Channel(env, params, f"{name}.a2b", loss_rate, rng)
-        self.b_to_a = Channel(env, params, f"{name}.b2a", loss_rate, rng)
+        self.a_to_b = Channel(env, params, f"{name}.a2b")
+        self.b_to_a = Channel(env, params, f"{name}.b2a")

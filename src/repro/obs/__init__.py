@@ -21,7 +21,7 @@ reports its numbers through the instruments here:
 * :mod:`repro.obs.slo` — declarative service-level objectives: JSON-able
   :class:`SLOSpec` documents (percentile ceilings, goodput floors,
   loss/pause budgets, windowed burn-rates) evaluated into structured
-  scorecards that bench gates and CI fail on;
+  scorecards that run artifacts and the resilience experiment carry;
 * :mod:`repro.obs.health` — the in-sim :class:`HealthWatchdog`: stall
   and storm detection riding the sampler cadence, emitting structured
   :class:`HealthEvent` records in simulated time;
@@ -87,7 +87,6 @@ from .slo import (
     SLOSpec,
     evaluate,
     resolve_metric,
-    scorecard_table,
 )
 from .span import NULL_SPAN, Span, Tracer
 
@@ -143,7 +142,6 @@ __all__ = [
     "render_html",
     "resolve_metric",
     "scope_stats",
-    "scorecard_table",
     "span_tree",
     "spans_of",
     "summary_table",

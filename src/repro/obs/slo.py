@@ -42,7 +42,6 @@ __all__ = [
     "SLOSpec",
     "evaluate",
     "resolve_metric",
-    "scorecard_table",
 ]
 
 SLO_SCHEMA = "repro.slo/1"
@@ -256,25 +255,3 @@ def evaluate(spec: SLOSpec, doc: Dict[str, Any]) -> Dict[str, Any]:
         "objectives": rows,
         "violations": violations,
     }
-
-
-def scorecard_table(card: Dict[str, Any]) -> str:
-    """Render a scorecard as a human-readable table (violations first)."""
-    from ..analysis.tables import format_table
-
-    def fmt(v: Any) -> str:
-        return "-" if v is None else f"{v:g}"
-
-    rows = [
-        (r["name"], r["metric"], r["kind"], fmt(r["threshold"]),
-         fmt(r["value"]), fmt(r["margin"]),
-         r["status"].upper() if r["status"] != "ok" else "ok")
-        for r in sorted(card["objectives"], key=lambda r: (r["ok"], r["name"]))
-    ]
-    verdict = "PASS" if card["ok"] else f"FAIL ({len(card['violations'])} violated)"
-    table = format_table(
-        ["objective", "metric", "kind", "threshold", "value", "margin", "status"],
-        rows, title=f"SLO {card['slo']}: {verdict}")
-    if card.get("description"):
-        table += f"\n  {card['description']}"
-    return table

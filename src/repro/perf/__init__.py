@@ -3,8 +3,9 @@
 ``python -m repro.perf`` turns the observability stack into a gate:
 
 * ``bench`` runs a pinned suite of scenarios (headline latency, the
-  Figure 4/5 bandwidth points, the span-derived Figure-7 layer budget,
-  one resilience point) and writes a versioned ``BENCH_<rev>.json``
+  Figure 4/5 bandwidth points — Figure 4's MTU-1500 point under both
+  simulator engines — the span-derived Figure-7 layer budget, one
+  resilience point) and writes a versioned ``BENCH_<rev>.json``
   with simulated metrics, wall-clock timings and
   :class:`~repro.obs.EnvProfiler` tallies;
 * ``micro`` runs A/B microbenchmarks of the event-loop hot path (timer

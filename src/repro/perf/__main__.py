@@ -8,17 +8,9 @@
   ``MICRO_<rev>.json`` (see :mod:`repro.perf.micro`);
 * ``diff A B`` compares two run/bench JSON documents metric-by-metric
   and exits 1 when anything moved beyond tolerance;
-* ``flowdiff`` runs the bulk point under both simulator engines
-  (``flow_mode`` off/auto), writes the :class:`~repro.obs.RunDiff`
-  comparison document, and exits 1 if the hybrid engine moved the
-  physics beyond tolerance (the CI flow-vs-packet artifact);
 * ``check [CANDIDATE]`` gates a bench document against the committed
   baseline and exits 1 on regression (``--warn-only`` downgrades
-  failures to warnings for first-landing workflows);
-* ``slo [CANDIDATE]`` evaluates the baseline's gates as declared SLO
-  specs (see :func:`repro.perf.check.slo_from_bench`), prints the
-  per-scenario scorecards, optionally writes them as JSON, and exits 1
-  on any violated objective — the CI-facing form of ``check``.
+  failures to warnings for first-landing workflows).
 """
 
 from __future__ import annotations
@@ -29,9 +21,8 @@ import sys
 from typing import Optional
 
 from ..parallel import add_jobs_argument, resolve_jobs
-from .bench import (BASELINE_PATH, SCENARIOS, flow_packet_diff, run_bench,
-                    write_bench)
-from .check import check_bench, load_bench, report, scenario_scorecards
+from .bench import BASELINE_PATH, SCENARIOS, run_bench, write_bench
+from .check import check_bench, load_bench, report
 from .micro import run_micro
 
 
@@ -77,25 +68,6 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     return 0 if diff.within_tolerance() else 1
 
 
-def _cmd_flowdiff(args: argparse.Namespace) -> int:
-    doc = flow_packet_diff(nbytes=args.nbytes, messages=args.messages,
-                           tolerance=args.tolerance)
-    write_bench(doc, args.output)
-    print(doc["report"])
-    print(f"event reduction: {doc['event_reduction']:.2f}x "
-          f"({doc['runs']['off']['events_processed']} -> "
-          f"{doc['runs']['auto']['events_processed']} events)")
-    print(f"wrote {args.output}")
-    if not doc["within_tolerance"]:
-        drifted = [d["key"] for d in doc["physics"] if d["status"] != "same"]
-        print(f"FAIL: flow engine moved physics beyond "
-              f"{args.tolerance:.0%}: {', '.join(drifted)}", file=sys.stderr)
-        return 1
-    print(f"flow engine agrees with the exact engine within "
-          f"{args.tolerance:.0%}", file=sys.stderr)
-    return 0
-
-
 def _cmd_check(args: argparse.Namespace) -> int:
     baseline = load_bench(args.baseline)
     if args.candidate:
@@ -120,47 +92,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_slo(args: argparse.Namespace) -> int:
-    from ..obs.slo import scorecard_table
-
-    baseline = load_bench(args.baseline)
-    if args.candidate:
-        candidate = load_bench(args.candidate)
-    else:
-        print("no candidate given; running a quick bench in-process...",
-              file=sys.stderr)
-        candidate = run_bench(quick=True)
-    cards = scenario_scorecards(candidate, baseline)
-    for scenario in sorted(cards):
-        print(scorecard_table(cards[scenario]))
-        print()
-    if args.output:
-        doc = {
-            "schema": "repro.slo-scorecards/1",
-            "baseline": baseline.get("rev"),
-            "candidate": candidate.get("rev"),
-            "ok": all(card["ok"] for card in cards.values()),
-            "scenarios": {name: cards[name] for name in sorted(cards)},
-        }
-        with open(args.output, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.output}", file=sys.stderr)
-    violated = sorted(
-        f"{scenario}:{name}"
-        for scenario, card in cards.items()
-        for name in card["violations"])
-    if violated:
-        verb = "warning" if args.warn_only else "FAIL"
-        print(f"{verb}: {len(violated)} SLO objective(s) violated: "
-              + ", ".join(violated), file=sys.stderr)
-        return 0 if args.warn_only else 1
-    print("all perf SLOs met", file=sys.stderr)
-    return 0
-
-
 def main(argv: Optional[list] = None) -> int:
-    """Parse arguments and dispatch to bench/diff/check."""
+    """Parse arguments and dispatch to bench/micro/diff/check."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.perf",
         description="Benchmark lab: run the pinned suite, diff runs, "
@@ -207,21 +140,6 @@ def main(argv: Optional[list] = None) -> int:
                       help="show every compared metric, not only changes")
     diff.set_defaults(func=_cmd_diff)
 
-    flowdiff = sub.add_parser(
-        "flowdiff",
-        help="flow-vs-packet RunDiff artifact for the bulk point")
-    flowdiff.add_argument("-o", "--output", metavar="PATH",
-                          default="flow-vs-packet.json",
-                          help="output path (default flow-vs-packet.json)")
-    flowdiff.add_argument("--nbytes", type=int, default=1_000_000,
-                          help="bytes per message (default 1000000)")
-    flowdiff.add_argument("--messages", type=int, default=8,
-                          help="messages in the stream (default 8)")
-    flowdiff.add_argument("--tolerance", type=float, default=0.05,
-                          help="relative tolerance on the physics keys "
-                               "(default 0.05)")
-    flowdiff.set_defaults(func=_cmd_flowdiff)
-
     check = sub.add_parser("check", help="gate a bench run against the baseline")
     check.add_argument("candidate", nargs="?", default=None,
                        help="bench JSON to check (default: run a quick bench)")
@@ -230,18 +148,6 @@ def main(argv: Optional[list] = None) -> int:
     check.add_argument("--warn-only", action="store_true",
                        help="report regressions but exit 0 (first landing)")
     check.set_defaults(func=_cmd_check)
-
-    slo = sub.add_parser("slo", help="evaluate the baseline's gates as SLO "
-                                     "scorecards (CI-facing check)")
-    slo.add_argument("candidate", nargs="?", default=None,
-                     help="bench JSON to score (default: run a quick bench)")
-    slo.add_argument("--baseline", default=BASELINE_PATH,
-                     help=f"baseline bench JSON (default {BASELINE_PATH})")
-    slo.add_argument("-o", "--output", metavar="PATH", default=None,
-                     help="also write the scorecards as JSON to PATH")
-    slo.add_argument("--warn-only", action="store_true",
-                     help="report violations but exit 0 (first landing)")
-    slo.set_defaults(func=_cmd_slo)
 
     args = parser.parse_args(argv)
     if args.command == "bench" and args.full and args.quick:

@@ -14,7 +14,9 @@ resilience point) and reports three kinds of cost:
 
 The Figure-7 scenario reads its layer budget and paper stages off one
 :func:`repro.obs.critical_path` — the derivation the fig7 experiment
-reports too.
+reports too.  The Figure-4 scenario runs its MTU-1500 bulk point once
+per engine (``flow_mode`` off and auto): the exact run is the gated
+bandwidth and the reference the hybrid engine is checked against.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ __all__ = [
     "BENCH_SCHEMA",
     "SCENARIOS",
     "current_rev",
-    "flow_packet_diff",
     "run_bench",
     "write_bench",
 ]
@@ -54,14 +55,22 @@ RESILIENCE_TOLERANCE = 0.10
 #: simulator-cost drift allowed before the events-processed gate trips
 PROFILE_TOLERANCE = 0.25
 
-#: hard floor on the bulk-flowmode event reduction (the hybrid engine's
-#: reason to exist); the scenario errors out below this, independent of
-#: any baseline drift tolerance
+#: hard floor on the fig4 bulk point's event reduction (the hybrid
+#: engine's reason to exist); the scenario errors out below this,
+#: independent of any baseline drift tolerance
 FLOWMODE_MIN_RATIO = 10.0
 
-#: max relative bandwidth disagreement between the exact and hybrid
-#: engines on the bulk-flowmode point before the scenario errors out
+#: max relative disagreement between the exact and hybrid engines on
+#: the fig4 bulk point (bandwidth, transfer result, conservation
+#: counters) before the scenario errors out
 FLOWMODE_BW_TOLERANCE = 0.05
+
+#: metric-snapshot keys the flow engine must conserve
+PHYSICS_METRICS = (
+    "node0.clic.bytes_sent", "node1.clic.bytes_rx",
+    "node0.clic.pkts_tx", "node1.clic.pkts_rx",
+    "node0.nic0.tx_frames", "node1.nic0.rx_frames",
+)
 
 
 def _gate(value: float, better: str, tol: float = GATE_TOLERANCE) -> Dict[str, Any]:
@@ -92,22 +101,108 @@ def _scenario_headline(quick: bool) -> Tuple[Dict, Dict]:
     return gates, metrics
 
 
+def _bulk_run(mode: str, nbytes: int, messages: int) -> Dict[str, Any]:
+    """One MTU-1500 CLIC stream under ``flow_mode=mode``, as plain data."""
+    from dataclasses import replace
+
+    from ..cluster import Cluster
+    from ..config import MTU_STANDARD, granada2003
+    from ..workloads import clic_pair, stream
+
+    cfg = replace(granada2003(mtu=MTU_STANDARD), profile=True).with_flow_mode(mode)
+    cluster = Cluster(cfg, protocols=("clic",))
+    res = stream(cluster, clic_pair(), nbytes, messages=messages)
+    snap = cluster.metrics.snapshot()
+    return {
+        "result": {
+            "bandwidth_mbps": res.bandwidth_mbps,
+            "elapsed_ns": res.elapsed_ns,
+            "nbytes_total": res.nbytes_total,
+        },
+        "conservation": {k: snap.get(k) for k in PHYSICS_METRICS},
+        "events_processed": cluster.env.profiler.events_processed,
+        "flow": dict(cluster.env.flow.counters) if cluster.env.flow else {},
+    }
+
+
+def _flow_packet_pair(nbytes: int, messages: int) -> Dict[str, Any]:
+    """The bulk stream under both engines: exact (``flow_mode="off"``)
+    and hybrid (``"auto"``, analytic bulk-train batching).
+
+    *Errors out* unless the hybrid engine cuts ``events_processed`` by at
+    least :data:`FLOWMODE_MIN_RATIO` and reproduces the exact engine's
+    physics — the transfer result and the :data:`PHYSICS_METRICS`
+    conservation counters, one :class:`~repro.obs.RunDiff` row each —
+    within :data:`FLOWMODE_BW_TOLERANCE`.  Event-granularity counters
+    (IRQs, timer pops, ack frames) legitimately collapse in flow mode
+    and are not compared.
+    """
+    from ..obs import RunDiff
+
+    off = _bulk_run("off", nbytes, messages)
+    auto = _bulk_run("auto", nbytes, messages)
+    ev_off, ev_auto = off["events_processed"], auto["events_processed"]
+    ratio = ev_off / ev_auto
+    if ratio < FLOWMODE_MIN_RATIO:
+        raise ValueError(
+            f"flow mode reduced events only {ratio:.2f}x "
+            f"({ev_off} -> {ev_auto}); the bulk fast path requires "
+            f">= {FLOWMODE_MIN_RATIO:.0f}x")
+    physics = RunDiff({k: off[k] for k in ("result", "conservation")},
+                      {k: auto[k] for k in ("result", "conservation")},
+                      tolerance=FLOWMODE_BW_TOLERANCE)
+    drifted = [d for d in physics.deltas if d.status != "same"]
+    if drifted:
+        raise ValueError(
+            "flow mode moved the bulk physics beyond "
+            f"{FLOWMODE_BW_TOLERANCE:.0%} (off -> auto): "
+            + ", ".join(f"{d.key} {d.a} -> {d.b}" for d in drifted))
+    bw_off = off["result"]["bandwidth_mbps"]
+    bw_auto = auto["result"]["bandwidth_mbps"]
+    return {
+        "off": off,
+        "auto": auto,
+        "event_reduction": ratio,
+        "bw_rel_err": abs(bw_auto - bw_off) / bw_off,
+        "physics": [{"key": d.key, "a": d.a, "b": d.b, "status": d.status}
+                    for d in physics.deltas],
+    }
+
+
 def _scenario_fig4(quick: bool) -> Tuple[Dict, Dict]:
-    """Figure 4 headline: stream bandwidth per MTU, 0-copy CLIC."""
-    from ..config import MTU_JUMBO, MTU_STANDARD, granada2003
+    """Figure 4 headline: stream bandwidth per MTU, 0-copy CLIC, plus
+    the hybrid engine on the MTU-1500 point (see :func:`_flow_packet_pair`;
+    its exact run is the gated MTU-1500 bandwidth)."""
+    from ..config import MTU_JUMBO, granada2003
     from ..experiments.common import sweep_stream
     from ..workloads import clic_pair
 
     nbytes, messages = (1_000_000, 8) if quick else (2_000_000, 16)
     jumbo = sweep_stream("CLIC 9000", lambda: granada2003(mtu=MTU_JUMBO),
                          clic_pair, [nbytes], messages=messages).asymptote()
-    std = sweep_stream("CLIC 1500", lambda: granada2003(mtu=MTU_STANDARD),
-                       clic_pair, [nbytes], messages=messages).asymptote()
+    pair = _flow_packet_pair(nbytes, messages)
+    std = pair["off"]["result"]["bandwidth_mbps"]
+    flow = pair["auto"]["flow"]
     gates = {
         "bw_mtu9000_mbps": _gate(jumbo, "higher"),
         "bw_mtu1500_mbps": _gate(std, "higher"),
+        "bw_auto_mbps": _gate(pair["auto"]["result"]["bandwidth_mbps"], "higher"),
+        "event_reduction": _gate(pair["event_reduction"], "higher"),
     }
-    metrics = {"jumbo_gain_mbps": jumbo - std, "message_bytes": nbytes}
+    metrics = {
+        "jumbo_gain_mbps": jumbo - std,
+        "message_bytes": nbytes,
+        "events_off": pair["off"]["events_processed"],
+        "events_auto": pair["auto"]["events_processed"],
+        "event_reduction": pair["event_reduction"],
+        "bw_rel_err": pair["bw_rel_err"],
+        "physics": pair["physics"],
+        "trains": flow.get("trains", 0),
+        "frames_batched": flow.get("frames_batched", 0),
+        "acks_express": flow.get("acks_express", 0),
+        "fallbacks": {k[len("fallback_"):]: v for k, v in flow.items()
+                      if k.startswith("fallback_")},
+    }
     return gates, metrics
 
 
@@ -250,71 +345,6 @@ def _scenario_journey(quick: bool) -> Tuple[Dict, Dict]:
     return gates, metrics
 
 
-def _scenario_bulk_flowmode(quick: bool) -> Tuple[Dict, Dict]:
-    """Hybrid-engine headline: the fig4 bulk point, exact vs flow mode.
-
-    Runs the same 1 MB MTU-1500 stream twice — ``flow_mode="off"``
-    (the packet-exact reference) and ``"auto"`` (analytic bulk-train
-    batching) — and *errors out* unless the hybrid engine cuts
-    ``events_processed`` by at least :data:`FLOWMODE_MIN_RATIO` while
-    reproducing the exact engine's bandwidth within
-    :data:`FLOWMODE_BW_TOLERANCE`.  The gates then pin
-    both numbers against the committed baseline like any other scenario.
-    """
-    from dataclasses import replace
-
-    from ..cluster import Cluster
-    from ..config import MTU_STANDARD, granada2003
-    from ..workloads import clic_pair, stream
-
-    nbytes, messages = (1_000_000, 8) if quick else (2_000_000, 16)
-
-    def one(mode: str):
-        cfg = replace(granada2003(mtu=MTU_STANDARD),
-                      profile=True).with_flow_mode(mode)
-        cluster = Cluster(cfg, protocols=("clic",))
-        res = stream(cluster, clic_pair(), nbytes, messages=messages)
-        return res, cluster
-
-    res_off, cl_off = one("off")
-    res_auto, cl_auto = one("auto")
-    ev_off = cl_off.env.profiler.events_processed
-    ev_auto = cl_auto.env.profiler.events_processed
-    ratio = ev_off / ev_auto
-    if ratio < FLOWMODE_MIN_RATIO:
-        raise ValueError(
-            f"flow mode reduced events only {ratio:.2f}x "
-            f"({ev_off} -> {ev_auto}); the bulk fast path requires "
-            f">= {FLOWMODE_MIN_RATIO:.0f}x")
-    bw_rel = abs(res_auto.bandwidth_mbps - res_off.bandwidth_mbps) / res_off.bandwidth_mbps
-    if bw_rel > FLOWMODE_BW_TOLERANCE:
-        raise ValueError(
-            f"flow mode moved bulk bandwidth {bw_rel:.1%} "
-            f"(off={res_off.bandwidth_mbps:.2f}, "
-            f"auto={res_auto.bandwidth_mbps:.2f} MB/s); "
-            f"tolerance is {FLOWMODE_BW_TOLERANCE:.0%}")
-
-    flow = dict(cl_auto.env.flow.counters)
-    gates = {
-        "event_reduction": _gate(ratio, "higher"),
-        "bw_auto_mbps": _gate(res_auto.bandwidth_mbps, "higher"),
-        "bw_off_mbps": _gate(res_off.bandwidth_mbps, "higher"),
-    }
-    metrics = {
-        "events_off": ev_off,
-        "events_auto": ev_auto,
-        "event_reduction": ratio,
-        "bw_rel_err": bw_rel,
-        "trains": flow.get("trains", 0),
-        "frames_batched": flow.get("frames_batched", 0),
-        "acks_express": flow.get("acks_express", 0),
-        "fallbacks": {k[len("fallback_"):]: v for k, v in flow.items()
-                      if k.startswith("fallback_")},
-        "message_bytes": nbytes,
-    }
-    return gates, metrics
-
-
 def _scenario_collectives(quick: bool) -> Tuple[Dict, Dict]:
     """NIC-offload headline: host vs NIC collectives on a fat-tree.
 
@@ -372,7 +402,6 @@ SCENARIOS: List[Tuple[str, Callable[[bool], Tuple[Dict, Dict]]]] = [
     ("fig7", _scenario_fig7),
     ("resilience", _scenario_resilience),
     ("journey", _scenario_journey),
-    ("bulk-flowmode", _scenario_bulk_flowmode),
     ("collectives-scaling", _scenario_collectives),
 ]
 
@@ -445,21 +474,11 @@ def run_bench(quick: bool = True, scenarios: Optional[List[str]] = None,
         wall_by_scenario[name] = round(wall, 3)
         for key in total_events:
             total_events[key] += profile[key]
-    # Scenarios that A/B the hybrid flow engine publish an
-    # ``event_reduction`` metric; surface those ratios in the totals so
-    # the scorecard (``repro.obs.report``) can headline the speedup.
-    reductions = {
-        name: entry["metrics"]["event_reduction"]
-        for name, entry in doc["scenarios"].items()
-        if "event_reduction" in entry.get("metrics", {})
-    }
     doc["totals"] = {
         "wall_s": round(total_wall, 3),
         "wall_by_scenario": wall_by_scenario,
         **total_events,
     }
-    if reductions:
-        doc["totals"]["event_reduction_by_scenario"] = reductions
     return jsonable(doc)
 
 
@@ -469,83 +488,3 @@ def write_bench(doc: Dict[str, Any], path: str) -> None:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-
-def flow_packet_diff(nbytes: int = 1_000_000, messages: int = 8,
-                     tolerance: float = FLOWMODE_BW_TOLERANCE) -> Dict[str, Any]:
-    """:class:`~repro.obs.RunDiff` document: one bulk run, both engines.
-
-    Runs the bulk-flowmode point under ``flow_mode="off"`` and
-    ``"auto"`` and splits the comparison in two, matching the engine's
-    contract:
-
-    * ``physics`` — transfer result and protocol conservation counters,
-      which must agree within ``tolerance`` (``within_tolerance`` is
-      the verdict CI gates on);
-    * ``report`` — the full metric-by-metric diff, informational only:
-      event-granularity counters (IRQs, timer pops, ack frames)
-      legitimately collapse by ~an order of magnitude in flow mode.
-    """
-    from dataclasses import replace
-
-    from ..cluster import Cluster
-    from ..config import MTU_STANDARD, granada2003
-    from ..obs import RunDiff
-    from ..workloads import clic_pair, stream
-
-    #: metric-snapshot keys the flow engine must conserve exactly
-    physics_metrics = (
-        "node0.clic.bytes_sent", "node1.clic.bytes_rx",
-        "node0.clic.pkts_tx", "node1.clic.pkts_rx",
-        "node0.nic0.tx_frames", "node1.nic0.rx_frames",
-    )
-
-    runs: Dict[str, Dict[str, Any]] = {}
-    for mode in ("off", "auto"):
-        cfg = replace(granada2003(mtu=MTU_STANDARD),
-                      profile=True).with_flow_mode(mode)
-        cluster = Cluster(cfg, protocols=("clic",))
-        res = stream(cluster, clic_pair(), nbytes, messages=messages)
-        snap = cluster.metrics.snapshot()
-        runs[mode] = {
-            "result": {
-                "bandwidth_mbps": res.bandwidth_mbps,
-                "elapsed_ns": res.elapsed_ns,
-                "nbytes_total": res.nbytes_total,
-            },
-            "events_processed": cluster.env.profiler.events_processed,
-            "metrics": jsonable(snap),
-            "flow": dict(cluster.env.flow.counters) if cluster.env.flow else {},
-        }
-
-    def physics_view(run: Dict[str, Any]) -> Dict[str, Any]:
-        return {
-            "result": run["result"],
-            "conservation": {k: run["metrics"].get(k)
-                             for k in physics_metrics},
-        }
-
-    physics = RunDiff(physics_view(runs["off"]), physics_view(runs["auto"]),
-                      tolerance=tolerance)
-    full = RunDiff(
-        {k: runs["off"][k] for k in ("result", "events_processed", "metrics")},
-        {k: runs["auto"][k] for k in ("result", "events_processed", "metrics")},
-        tolerance=tolerance)
-    return jsonable({
-        "schema": "repro.flowdiff/1",
-        "a": "flow_mode=off",
-        "b": "flow_mode=auto",
-        "message_bytes": nbytes,
-        "messages": messages,
-        "tolerance": tolerance,
-        "event_reduction": (runs["off"]["events_processed"]
-                            / runs["auto"]["events_processed"]),
-        "within_tolerance": physics.within_tolerance(),
-        "runs": runs,
-        "physics": [
-            {"key": d.key, "a": d.a, "b": d.b, "status": d.status}
-            for d in physics.deltas
-        ],
-        "report": full.report(
-            only_changes=False,
-            title="flow-vs-packet: flow_mode=off -> auto"),
-    })

@@ -13,7 +13,7 @@ from .adapters import (
 from .mpibench import COLLECTIVES, collective_time, mpi_pingpong
 from .patterns import HotspotResult, all_pairs, hotspot, overlap_efficiency
 from .pingpong import PingPongResult, StreamResult, pingpong, stream
-from .sweep import SweepSeries, bandwidth_sweep, netpipe_sizes
+from .sweep import SweepSeries, netpipe_sizes
 
 __all__ = [
     "COLLECTIVES",
@@ -30,7 +30,6 @@ __all__ = [
     "SweepSeries",
     "TcpAdapter",
     "ViaAdapter",
-    "bandwidth_sweep",
     "clic_pair",
     "gamma_pair",
     "netpipe_sizes",

@@ -2,23 +2,19 @@
 
 The paper plots bandwidth against message size from 10^1 to 10^7 bytes
 on a log axis.  :func:`netpipe_sizes` generates that grid;
-:func:`bandwidth_sweep` runs a fresh cluster per point (fresh state, no
-warm caches carrying over — and each point's simulation is independent
-and reproducible).  Because every point is independent, the sweep fans
-out over a process pool with ``jobs > 1`` (see :mod:`repro.parallel`)
-and still returns the exact series a serial run would.
+:class:`SweepSeries` holds one measured curve.  The sweeps themselves
+(a fresh cluster per point, fanned out over a process pool with
+``jobs > 1``) are :func:`repro.experiments.common.sweep_pingpong` and
+:func:`~repro.experiments.common.sweep_stream`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Union
+from typing import Dict, Iterator, List, Optional, Sequence
 
-from ..cluster import Cluster
-from ..config import ClusterConfig
-from ..parallel import run_tasks
-from .pingpong import PingPongResult, pingpong
+from .pingpong import PingPongResult
 
-__all__ = ["netpipe_sizes", "bandwidth_sweep", "SweepSeries"]
+__all__ = ["netpipe_sizes", "SweepSeries"]
 
 
 def netpipe_sizes(
@@ -104,35 +100,3 @@ class SweepSeries:
     def as_dict(self) -> Dict:
         """The whole series as a plain dict."""
         return {"label": self.label, "points": [p.as_dict() for p in self.points]}
-
-
-def _sweep_point(spec) -> PingPongResult:
-    """One sweep point from a pure-data spec (module-level: pool-safe)."""
-    cluster_spec, setup_factory, nbytes, repeats, warmup = spec
-    if isinstance(cluster_spec, ClusterConfig):
-        cluster = Cluster(cluster_spec)
-    else:
-        cluster = cluster_spec()
-    return pingpong(cluster, setup_factory(), nbytes, repeats=repeats, warmup=warmup)
-
-
-def bandwidth_sweep(
-    label: str,
-    cluster_spec: Union[ClusterConfig, Callable[[], Cluster]],
-    setup_factory: Callable[[], Callable],
-    sizes: Sequence[int],
-    repeats: int = 2,
-    warmup: int = 1,
-    jobs: int = 1,
-) -> SweepSeries:
-    """Measure a bandwidth curve: one fresh cluster + ping-pong per size.
-
-    ``cluster_spec`` is preferably a :class:`~repro.config.ClusterConfig`
-    (pure data — each point rebuilds ``Cluster(cfg)`` wherever it runs);
-    a zero-argument cluster factory is also accepted, but with
-    ``jobs > 1`` it must then be a picklable module-level callable.
-    Points fan out over a process pool and come back in size order, so
-    the series is identical at any ``jobs`` value.
-    """
-    specs = [(cluster_spec, setup_factory, nbytes, repeats, warmup) for nbytes in sizes]
-    return SweepSeries(label, run_tasks(_sweep_point, specs, jobs=jobs))

@@ -15,7 +15,8 @@ import pytest
 
 from repro.cluster import Cluster
 from repro.config import LinkParams, granada2003
-from repro.faults import FaultPlan, OutageWindow, SwitchBlackout
+from repro.faults import (ChannelFaults, FaultPlan, LinkFaultSpec, OutageWindow,
+                          SwitchBlackout)
 from repro.hw import Channel
 from repro.hw.nic.frames import EtherType, Frame, MacAddress
 from repro.protocols.clic import ClicControl
@@ -44,8 +45,9 @@ def test_channel_offered_equals_delivered_plus_lost():
     from repro.sim import Environment
 
     env = Environment()
-    chan = Channel(env, LinkParams(), loss_rate=0.3,
-                   rng=np.random.default_rng(3))
+    chan = Channel(env, LinkParams(),
+                   faults=ChannelFaults(LinkFaultSpec(loss_rate=0.3),
+                                        rng=np.random.default_rng(3)))
     received = []
     chan.connect(received.append)
 

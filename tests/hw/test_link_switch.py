@@ -105,9 +105,12 @@ def test_channel_requires_sink():
 
 
 def test_channel_loss_injection_drops_frames():
+    from repro.faults import ChannelFaults, LinkFaultSpec
+
     env = Environment()
     rng = RngStreams(1).stream("loss")
-    chan = Channel(env, LINK, loss_rate=1.0, rng=rng)
+    chan = Channel(env, LINK,
+                   faults=ChannelFaults(LinkFaultSpec(loss_rate=1.0), rng=rng))
     arrivals = []
     chan.connect(lambda f: arrivals.append(f))
 
@@ -121,9 +124,12 @@ def test_channel_loss_injection_drops_frames():
 
 
 def test_channel_loss_requires_rng():
+    from repro.faults import ChannelFaults, LinkFaultSpec
+
     env = Environment()
     with pytest.raises(ValueError):
-        Channel(env, LINK, loss_rate=0.5)
+        Channel(env, LINK,
+                faults=ChannelFaults(LinkFaultSpec(loss_rate=0.5), rng=None))
 
 
 def build_switched_pair(env):

@@ -10,7 +10,6 @@ from repro.obs import (
     SLOSpec,
     evaluate,
     resolve_metric,
-    scorecard_table,
 )
 from repro.obs.slo import burn_rate
 
@@ -114,14 +113,3 @@ def test_evaluate_burn_rate_reads_timeseries_dict():
     row = card["objectives"][0]
     assert row["value"] == pytest.approx(10.0 * 1e9 / 1e6)  # 10k/s
     assert row["ok"]
-
-
-def test_scorecard_table_lists_violations_first():
-    doc = {"result": {"a": 5.0, "b": 1.0}}
-    card = evaluate(_spec(
-        Objective("fine", "result.b", "ceiling", 2.0),
-        Objective("broken", "result.a", "ceiling", 2.0)), doc)
-    table = scorecard_table(card)
-    assert "FAIL (1 violated)" in table
-    assert table.index("broken") < table.index("fine")
-    assert "VIOLATED" in table

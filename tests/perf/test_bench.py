@@ -87,7 +87,7 @@ def test_run_bench_rejects_unknown_scenarios():
         run_bench(scenarios=["nope"])
     assert [name for name, _ in SCENARIOS] == [
         "headline", "fig4", "fig5", "fig7", "resilience", "journey",
-        "bulk-flowmode", "collectives-scaling"]
+        "collectives-scaling"]
 
 
 def test_current_rev_is_short_string():
@@ -95,13 +95,12 @@ def test_current_rev_is_short_string():
     assert isinstance(rev, str) and rev and "\n" not in rev
 
 
-def test_flow_packet_diff_document(tmp_path):
-    """The CI flow-vs-packet artifact: physics agree, events collapse."""
-    from repro.perf.bench import flow_packet_diff
+def test_flow_packet_diff_document():
+    """The fig4 bulk point under both engines: physics agree, events
+    collapse."""
+    from repro.perf.bench import _flow_packet_pair
 
-    doc = flow_packet_diff(nbytes=500_000, messages=4)
-    assert doc["schema"] == "repro.flowdiff/1"
-    assert doc["within_tolerance"] is True
+    doc = _flow_packet_pair(nbytes=500_000, messages=4)
     assert doc["event_reduction"] > 10
     # Every conservation key compared exactly equal across engines.
     physics = {d["key"]: d for d in doc["physics"]}
@@ -111,7 +110,23 @@ def test_flow_packet_diff_document(tmp_path):
                 "conservation.node1.nic0.rx_frames"):
         assert physics[key]["status"] == "same"
         assert physics[key]["a"] == physics[key]["b"]
-    assert doc["runs"]["auto"]["flow"]["trains"] > 0
-    assert "flow-vs-packet" in doc["report"]
-    write_bench(doc, str(tmp_path / "flow-vs-packet.json"))
-    json.loads((tmp_path / "flow-vs-packet.json").read_text())
+    assert doc["auto"]["flow"]["trains"] > 0
+    json.dumps(doc)
+
+
+def test_fig4_scenario_raises_on_physics_drift(monkeypatch):
+    """A conservation counter the hybrid engine fails to conserve fails
+    the whole fig4 scenario, not just a report row."""
+    from repro.perf import bench
+
+    real = bench._bulk_run
+
+    def drifting(mode, nbytes, messages):
+        run = real(mode, 500_000, 4)
+        if mode == "auto":
+            run["conservation"]["node1.clic.bytes_rx"] *= 0.5
+        return run
+
+    monkeypatch.setattr(bench, "_bulk_run", drifting)
+    with pytest.raises(ValueError, match="conservation.node1.clic.bytes_rx"):
+        bench._scenario_fig4(quick=True)

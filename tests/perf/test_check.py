@@ -5,8 +5,7 @@ import json
 import pytest
 
 from repro.perf import BENCH_SCHEMA, check_bench, load_bench
-from repro.perf.check import (_classify, report, scenario_scorecards,
-                              slo_from_bench)
+from repro.perf.check import _classify, report
 from repro.perf.__main__ import main
 
 
@@ -29,6 +28,12 @@ def test_classify_directions_and_tolerance():
     assert _classify(100.0, 96.0, "higher", 0.05) == "ok"
     assert _classify(100.0, 94.0, "higher", 0.05) == "regressed"
     assert _classify(100.0, 110.0, "higher", 0.05) == "improved"
+    # The regression boundary is exactly value*(1+tol) for lower-is-
+    # better gates and value*(1-tol) for higher-is-better ones.
+    assert _classify(100.0, 105.0, "lower", 0.05) == "ok"
+    assert _classify(100.0, 105.001, "lower", 0.05) == "regressed"
+    assert _classify(200.0, 180.0, "higher", 0.10) == "ok"
+    assert _classify(200.0, 179.999, "higher", 0.10) == "regressed"
 
 
 def test_check_bench_union_and_statuses():
@@ -81,73 +86,6 @@ def test_cli_diff_exit_codes(tmp_path, capsys):
     assert "+100.0%" in capsys.readouterr().out
     # A loose tolerance downgrades the same change to in-tolerance.
     assert main(["diff", a, far, "--tolerance", "2.0"]) == 0
-
-
-def test_slo_from_bench_declares_gate_boundaries():
-    baseline = _doc(lat=(100.0, "lower", 0.05), tput=(200.0, "higher", 0.10))
-    specs = slo_from_bench(baseline)
-    spec = specs["s"]
-    assert spec.name == "bench.s"
-    by_name = {o.name: o for o in spec.objectives}
-    # lower-is-better -> ceiling at value*(1+tol); higher -> floor at (1-tol).
-    assert by_name["lat"].kind == "ceiling"
-    assert by_name["lat"].threshold == pytest.approx(105.0)
-    assert by_name["tput"].kind == "floor"
-    assert by_name["tput"].threshold == pytest.approx(180.0)
-    assert by_name["lat"].metric == "scenarios.s.gates.lat.value"
-    # Specs are pure data: JSON round-trip preserves the boundary.
-    from repro.obs import SLOSpec
-    assert SLOSpec.from_json(spec.to_json()) == spec
-
-
-def test_slo_from_bench_headlines_event_reduction():
-    """Scenarios with a flow-vs-packet ratio in the totals get the
-    speedup headline in their spec description (candidate wins over
-    baseline), and the scorecard table surfaces it."""
-    from repro.obs.slo import scorecard_table
-
-    baseline = _doc(lat=(100.0, "lower", 0.05))
-    baseline["totals"]["event_reduction_by_scenario"] = {"s": 12.0}
-    specs = slo_from_bench(baseline)
-    assert "12.0x fewer events" in specs["s"].description
-    candidate = _doc(lat=(101.0, "lower", 0.05))
-    candidate["totals"]["event_reduction_by_scenario"] = {"s": 14.1}
-    assert "14.1x fewer events" in slo_from_bench(baseline,
-                                                  candidate)["s"].description
-    cards = scenario_scorecards(candidate, baseline)
-    assert "14.1x fewer events" in scorecard_table(cards["s"])
-    # Scenarios without a ratio keep the plain description.
-    plain = slo_from_bench(_doc(lat=(100.0, "lower", 0.05)))
-    assert "fewer events" not in plain["s"].description
-
-
-def test_scenario_scorecards_match_check_verdicts():
-    baseline = _doc(lat=(100.0, "lower", 0.05))
-    bad = _doc(lat=(150.0, "lower", 0.05))
-    cards = scenario_scorecards(bad, baseline)
-    assert not cards["s"]["ok"]
-    assert cards["s"]["violations"] == ["lat"]
-    # check_bench's regressed status comes from the same evaluation.
-    assert [r.status for r in check_bench(bad, baseline)] == ["regressed"]
-    good = _doc(lat=(101.0, "lower", 0.05))
-    assert scenario_scorecards(good, baseline)["s"]["ok"]
-
-
-def test_cli_slo_exit_codes_and_output(tmp_path, capsys):
-    base = _write(tmp_path, "base.json", _doc(lat=(100.0, "lower", 0.05)))
-    good = _write(tmp_path, "good.json", _doc(lat=(101.0, "lower", 0.05)))
-    bad = _write(tmp_path, "bad.json", _doc(lat=(150.0, "lower", 0.05)))
-    out_path = str(tmp_path / "cards.json")
-    assert main(["slo", good, "--baseline", base]) == 0
-    assert main(["slo", bad, "--baseline", base, "-o", out_path]) == 1
-    assert main(["slo", bad, "--baseline", base, "--warn-only"]) == 0
-    out = capsys.readouterr()
-    assert "SLO bench.s" in out.out
-    assert "s:lat" in out.err
-    doc = json.loads((tmp_path / "cards.json").read_text())
-    assert doc["schema"] == "repro.slo-scorecards/1"
-    assert doc["ok"] is False
-    assert doc["scenarios"]["s"]["violations"] == ["lat"]
 
 
 def test_cli_bench_writes_document(tmp_path, capsys, monkeypatch):

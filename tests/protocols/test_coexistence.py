@@ -5,6 +5,7 @@ import pytest
 
 from repro.cluster import Cluster
 from repro.config import MTU_STANDARD, granada2003
+from repro.faults import FaultPlan
 from repro.protocols.clic import ClicEndpoint
 from repro.protocols.tcpip import TcpIpStack
 
@@ -65,7 +66,7 @@ def test_direct_dispatch_reliability_under_loss():
     """The Figure 8(b) path must not compromise reliable delivery."""
     cfg = granada2003(mtu=MTU_STANDARD)
     cfg = cfg.with_node(cfg.node.with_direct_rx(True))
-    cluster = Cluster(cfg, loss_rate=0.05)
+    cluster = Cluster(cfg, faults=FaultPlan.uniform(0.05))
 
     def a(proc):
         ep = ClicEndpoint(proc, 1)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster import Cluster
 from repro.config import MTU_STANDARD, granada2003
+from repro.faults import FaultPlan
 from repro.protocols.tcpip import TcpIpStack
 from repro.protocols.tcpip.tcp import RenoCongestion
 
@@ -56,7 +57,8 @@ def test_window_never_below_one():
 
 
 def _transfer(loss_rate, nbytes=150_000):
-    cluster = Cluster(granada2003(mtu=MTU_STANDARD), loss_rate=loss_rate)
+    cluster = Cluster(granada2003(mtu=MTU_STANDARD),
+                      faults=FaultPlan.uniform(loss_rate) if loss_rate else None)
     p0, p1 = cluster.nodes[0].spawn(), cluster.nodes[1].spawn()
     sa, sb = TcpIpStack.connect_pair(p0, p1)
 
@@ -97,7 +99,8 @@ def test_loss_hurts_tcp_bandwidth():
     import time
 
     def measure(loss):
-        cluster = Cluster(granada2003(mtu=MTU_STANDARD), loss_rate=loss)
+        cluster = Cluster(granada2003(mtu=MTU_STANDARD),
+                          faults=FaultPlan.uniform(loss) if loss else None)
         p0, p1 = cluster.nodes[0].spawn(), cluster.nodes[1].spawn()
         sa, sb = TcpIpStack.connect_pair(p0, p1)
         done = {}

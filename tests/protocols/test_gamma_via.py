@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster import Cluster
 from repro.config import MTU_STANDARD, granada2003
+from repro.faults import FaultPlan
 from repro.units import us
 from repro.workloads import gamma_pair, pingpong, via_pair
 
@@ -58,7 +59,8 @@ def test_gamma_fragments_large_messages():
 
 def test_gamma_no_retransmission_loss_is_fatal():
     """GAMMA has no kernel reliability: a lost frame loses the message."""
-    cluster = Cluster(granada2003(), protocols=("gamma",), loss_rate=1.0)
+    cluster = Cluster(granada2003(), protocols=("gamma",),
+                      faults=FaultPlan.uniform(1.0))
     received = []
 
     def a(proc):
@@ -113,7 +115,7 @@ def test_via_unmatched_vi_drops():
 
 
 def test_via_loss_not_recovered():
-    cluster = Cluster(granada2003(), protocols=("via",), loss_rate=1.0)
+    cluster = Cluster(granada2003(), protocols=("via",), faults=FaultPlan.uniform(1.0))
     vi_a = cluster.nodes[0].via.create_vi(5)
     vi_b = cluster.nodes[1].via.create_vi(5)
     got = []

@@ -12,6 +12,7 @@ import pytest
 
 from repro.cluster import Cluster
 from repro.config import MTU_STANDARD, granada2003
+from repro.faults import FaultPlan
 from repro.protocols.clic import ClicEndpoint
 
 SIZES = [0, 1, 37, 512, 1480, 1500, 4096, 9000, 20_000]
@@ -90,7 +91,7 @@ def test_property_reliable_under_random_loss(seeded_rng, trial):
     rng = seeded_rng(trial)
     sizes = [int(rng.integers(1, 30_001)) for _ in range(int(rng.integers(1, 5)))]
     loss_pct = float(rng.choice([0.02, 0.05, 0.1]))
-    cluster = Cluster(granada2003(mtu=MTU_STANDARD), loss_rate=loss_pct)
+    cluster = Cluster(granada2003(mtu=MTU_STANDARD), faults=FaultPlan.uniform(loss_pct))
     got = []
 
     def a(proc):

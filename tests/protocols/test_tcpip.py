@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster import Cluster
 from repro.config import MTU_JUMBO, MTU_STANDARD, granada2003
+from repro.faults import FaultPlan
 from repro.protocols.tcpip import TcpIpStack
 
 
@@ -125,7 +126,7 @@ def test_tcp_recv_blocks_until_enough_bytes():
 
 
 def test_tcp_reliability_under_loss():
-    cluster = Cluster(granada2003(mtu=MTU_STANDARD), loss_rate=0.03)
+    cluster = Cluster(granada2003(mtu=MTU_STANDARD), faults=FaultPlan.uniform(0.03))
     p0 = cluster.nodes[0].spawn()
     p1 = cluster.nodes[1].spawn()
     sa, sb = TcpIpStack.connect_pair(p0, p1)
@@ -224,7 +225,7 @@ def test_udp_nonblocking_recv():
 
 def test_udp_loss_is_not_recovered():
     """UDP gives no reliability — drops stay dropped (paper §3.2(a))."""
-    cluster = Cluster(granada2003(mtu=MTU_STANDARD), loss_rate=1.0)
+    cluster = Cluster(granada2003(mtu=MTU_STANDARD), faults=FaultPlan.uniform(1.0))
     p0 = cluster.nodes[0].spawn()
     p1 = cluster.nodes[1].spawn()
     ua = TcpIpStack.udp_socket(p0, port=5)

@@ -4,12 +4,10 @@ Figure-7 stages read off :func:`repro.obs.critical_path`."""
 import pytest
 
 from repro.analysis import (
-    crossover_size,
     format_series_table,
     format_table,
     interpolate_half_bandwidth,
     logx_plot,
-    ratio_at,
     size_reaching,
 )
 from repro.workloads import SweepSeries
@@ -94,17 +92,6 @@ def test_size_reaching():
     assert size_reaching(sizes, mbps, 500.0) is None
     mid = size_reaching(sizes, mbps, 75.0)
     assert 100 < mid < 1_000
-
-
-def test_crossover_and_ratio():
-    sizes = [1, 2, 3]
-    a = [10.0, 10.0, 5.0]
-    b = [1.0, 1.0, 8.0]
-    assert crossover_size(sizes, a, b) == 3
-    assert crossover_size(sizes, a, [0.0, 0.0, 0.0]) is None
-    assert ratio_at(sizes, a, b, 1) == 10.0
-    with pytest.raises(ZeroDivisionError):
-        ratio_at(sizes, a, [0.0, 1.0, 1.0], 1)
 
 
 def test_timeline_extraction_from_real_trace():

@@ -4,9 +4,9 @@ import pytest
 
 from repro.cluster import Cluster
 from repro.config import granada2003
+from repro.experiments.common import sweep_pingpong
 from repro.workloads import (
     SweepSeries,
-    bandwidth_sweep,
     clic_pair,
     netpipe_sizes,
     pingpong,
@@ -53,14 +53,8 @@ def test_stream_bandwidth_exceeds_pingpong():
 
 
 def test_sweep_series_helpers():
-    series = bandwidth_sweep(
-        "clic",
-        lambda: Cluster(granada2003()),
-        clic_pair,
-        sizes=[100, 10_000, 1_000_000],
-        repeats=1,
-        warmup=0,
-    )
+    series = sweep_pingpong("clic", granada2003, clic_pair,
+                            sizes=[100, 10_000, 1_000_000])
     assert series.label == "clic"
     assert series.sizes == [100, 10_000, 1_000_000]
     assert series.asymptote() == series.mbps[-1]
@@ -92,13 +86,11 @@ def test_sweep_series_is_a_sequence():
     assert len(series) == 3
 
 
-def test_bandwidth_sweep_parallel_matches_serial():
+def test_sweep_pingpong_parallel_matches_serial():
     """A config-based sweep is pure data, so a pooled run must return
     the exact series a serial run does."""
     sizes = [100, 10_000]
-    serial = bandwidth_sweep("clic", granada2003(), clic_pair, sizes,
-                             repeats=1, warmup=0)
-    pooled = bandwidth_sweep("clic", granada2003(), clic_pair, sizes,
-                             repeats=1, warmup=0, jobs=2)
+    serial = sweep_pingpong("clic", granada2003, clic_pair, sizes)
+    pooled = sweep_pingpong("clic", granada2003, clic_pair, sizes, jobs=2)
     assert [p.rtt_ns for p in serial] == [p.rtt_ns for p in pooled]
     assert serial.mbps == pooled.mbps
