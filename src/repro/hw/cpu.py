@@ -23,7 +23,7 @@ the host CPU" effect emerges in the simulated bandwidth curves.
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Dict, Generator, Optional
 
 from ..config import CpuParams
 from ..sim import (
@@ -63,6 +63,8 @@ class Cpu:
         self._res = PreemptiveResource(env, capacity=1, name=name)
         self.busy = BusyTracker()
         self.counters = Counters()
+        #: label -> its ``work.*`` counter name, built once per label
+        self._work_names: Dict[str, str] = {}
 
     def execute(
         self,
@@ -112,9 +114,9 @@ class Cpu:
                 self.counters.add("preemptions")
                 continue
             self.busy.release(env.now)
-            self._res.release(req)
+            self._res._do_release(req)
             remaining = 0.0
-        self.counters.add(f"work.{label or 'anon'}", duration)
+        self.counters.add(self._work_name(label), duration)
 
     def occupy(self, subwork: Generator, priority: int = PRIO_IRQ, label: str = "occupy") -> Generator:
         """Hold the CPU while ``subwork`` runs (busy-wait semantics).
@@ -134,9 +136,15 @@ class Cpu:
             result = yield from subwork
         finally:
             self.busy.release(self.env.now)
-            self.counters.add(f"work.{label}", self.env.now - started)
+            self.counters.add(self._work_name(label), self.env.now - started)
             self._safe_release(req)
         return result
+
+    def _work_name(self, label: str) -> str:
+        name = self._work_names.get(label)
+        if name is None:
+            name = self._work_names[label] = f"work.{label or 'anon'}"
+        return name
 
     def _safe_release(self, req) -> None:
         try:

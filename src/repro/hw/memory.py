@@ -17,6 +17,18 @@ from ..sim import BusyTracker, Counters, Environment, Resource
 __all__ = ["MemoryBus"]
 
 
+class _ScheduledGrantBus(Resource):
+    """The memory bus's resource: every grant goes through the event queue.
+
+    A CPU copy requests the CPU as soon as it holds the bus.  An inline
+    bus grant would make that CPU request at once, ahead of CPU requests
+    made later in the same instant that a scheduled grant lets in first,
+    and so reorder same-time CPU work and move simulated numbers.
+    """
+
+    inline_grant = False
+
+
 class MemoryBus:
     """Shared memory bandwidth.
 
@@ -32,7 +44,7 @@ class MemoryBus:
         self.env = env
         self.params = params
         self.name = name
-        self._bus = Resource(env, capacity=1, name=name)
+        self._bus = _ScheduledGrantBus(env, capacity=1, name=name)
         self.busy = BusyTracker()
         self.counters = Counters()
 

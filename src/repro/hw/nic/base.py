@@ -102,6 +102,10 @@ class Nic:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else Tracer(env)
         self.counters = Counters(registry=self.metrics, prefix=f"{name}.")
+        #: per-frame PCI DMA labels, built once
+        self._tx_label = f"{name}.tx"
+        self._rx_label = f"{name}.rx"
+        self._rxpush_label = f"{name}.rxpush"
         #: frames waiting on-card for the driver (high-water via gauge)
         self._rx_depth_gauge = self.metrics.gauge(f"{name}.rx_buffer_depth")
 
@@ -277,10 +281,10 @@ class Nic:
                     # the background DMA just as the exact per-packet
                     # schedule does.
                     yield from self.pci.dma(per_frame, priority=2,
-                                            label=f"{self.name}.tx")
+                                            label=self._tx_label)
                     self.env.process(
                         self.pci.dma(desc.payload_bytes - per_frame,
-                                     priority=2, label=f"{self.name}.tx",
+                                     priority=2, label=self._tx_label,
                                      transactions=k - 1),
                         name=f"{self.name}.txdma",
                     )
@@ -314,7 +318,7 @@ class Nic:
                 # firmware processing, and a single batched FIFO entry —
                 # closed-form equal to k back-to-back per-frame passes.
                 yield from self.pci.dma(desc.payload_bytes, priority=2,
-                                        label=f"{self.name}.tx",
+                                        label=self._tx_label,
                                         transactions=k)
                 yield self.env.timeout(self.params.frame_processing_ns * k)
                 frame = Frame(
@@ -331,7 +335,7 @@ class Nic:
                 span.end(frames=k)
                 continue
             # Bus-master DMA: fetch the payload (plus headers) across PCI.
-            yield from self.pci.dma(desc.payload_bytes, priority=2, label=f"{self.name}.tx")
+            yield from self.pci.dma(desc.payload_bytes, priority=2, label=self._tx_label)
             journeys = self.tracer.journeys
             if journeys is not None:
                 journeys.hop(desc.payload, "nic_dma", self.name,
@@ -390,7 +394,7 @@ class Nic:
         if not self._rx_firmware_done(rx, span):
             return
         # NIC pushes straight to host memory, then tells the host.
-        yield from self.pci.dma(rx.frame.payload_bytes, priority=2, label=f"{self.name}.rxpush")
+        yield from self.pci.dma(rx.frame.payload_bytes, priority=2, label=self._rxpush_label)
         rx.in_host_memory = True
         self._rx_claimed -= k  # descriptor recycled after the push
         if self.push_callback is not None:
@@ -476,7 +480,7 @@ class Nic:
         self._rx_occ -= rx.frame.train_frames
         self._rx_depth_gauge.set(self._rx_occ)
         yield from self.pci.dma(rx.frame.payload_bytes, priority=2,
-                                label=f"{self.name}.rx",
+                                label=self._rx_label,
                                 transactions=rx.frame.train_frames)
         rx.in_host_memory = True
         return rx

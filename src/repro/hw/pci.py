@@ -15,7 +15,7 @@ discussion of Section 3.2(b)) are modeled as small transactions too.
 
 from __future__ import annotations
 
-from typing import Generator
+from typing import Dict, Generator, Tuple
 
 from ..config import PciParams
 from ..sim import BusyTracker, Counters, Environment, PriorityResource
@@ -33,6 +33,8 @@ class PciBus:
         self._bus = PriorityResource(env, capacity=1)
         self.busy = BusyTracker()
         self.counters = Counters()
+        #: label -> its (``*_transactions``, ``*_bytes``) counter names
+        self._dma_names: Dict[str, Tuple[str, str]] = {}
 
     def transfer_time(self, nbytes: int, transactions: int = 1) -> float:
         """Bus-held time for ``transactions`` DMA setups moving ``nbytes``.
@@ -66,8 +68,11 @@ class PciBus:
                 yield self.env.timeout(duration)
             finally:
                 self.busy.release(self.env.now)
-        self.counters.add(f"{label}_transactions", transactions)
-        self.counters.add(f"{label}_bytes", nbytes)
+        names = self._dma_names.get(label)
+        if names is None:
+            names = self._dma_names[label] = (f"{label}_transactions", f"{label}_bytes")
+        self.counters.add(names[0], transactions)
+        self.counters.add(names[1], nbytes)
 
     def pio(self, priority: int = 0, label: str = "pio") -> Generator:
         """One programmed-I/O access (doorbell write / status read)."""

@@ -21,7 +21,7 @@ __all__ = ["Delta", "RunDiff", "flatten_numeric"]
 
 #: top-level keys never compared (bulk payloads / non-measurements)
 DEFAULT_IGNORE = ("spans", "records", "report", "schema", "rev", "python",
-                  "generated", "wall_s")
+                  "generated", "wall_s", "wall_by_scenario")
 
 
 def flatten_numeric(doc: Any, prefix: str = "",

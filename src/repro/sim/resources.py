@@ -11,9 +11,16 @@ Provides the queuing abstractions the hardware and OS models are built on:
 * :class:`Store` — a producer/consumer buffer of Python objects (e.g. NIC
   descriptor rings, socket receive queues).
 
-All requests are events; processes ``yield`` them.  Request objects are
+Requests are events; processes ``yield`` them.  Request objects are
 context managers so ``with resource.request() as req: yield req`` releases
 automatically.
+
+A request on a resource with a free slot and an empty wait queue is
+granted at construction and comes back already processed, scheduling no
+event: the process that yields it goes on at once, at the same simulated
+instant.  A contended request queues, and the release that frees its
+slot grants it through a scheduled event; the release itself schedules
+none.
 """
 
 from __future__ import annotations
@@ -71,7 +78,7 @@ class Request(Event):
 
     def __exit__(self, exc_type, exc_value, traceback) -> None:
         if self.resource is not None:
-            self.resource.release(self)
+            self.resource._do_release(self)
 
     def cancel(self) -> None:
         """Withdraw a still-queued request (no-op if already granted)."""
@@ -115,6 +122,10 @@ class Release(Event):
 class Resource:
     """A counted, FIFO-queued resource.
 
+    A request that finds a free slot and nobody waiting is granted
+    inline (see the module docstring); a subclass whose holders must
+    resume through the event queue sets :attr:`inline_grant` to False.
+
     Parameters
     ----------
     env:
@@ -122,6 +133,9 @@ class Resource:
     capacity:
         Number of concurrent users (>= 1).
     """
+
+    #: grant an uncontended request at construction, with no event
+    inline_grant = True
 
     def __init__(self, env: Environment, capacity: int = 1, name: str = ""):
         if capacity < 1:
@@ -148,6 +162,12 @@ class Resource:
 
     # -- mechanics -------------------------------------------------------
     def _do_request(self, request: Request) -> None:
+        if self.inline_grant and not self.queue and len(self.users) < self.capacity:
+            self._grant_inline(request)
+        else:
+            self._enqueue(request)
+
+    def _enqueue(self, request: Request) -> None:
         self.queue.append(request)
         self._trigger_queued()
 
@@ -171,6 +191,13 @@ class Resource:
         request.usage_since = self.env.now
         request.succeed(self)
 
+    def _grant_inline(self, request: Request) -> None:
+        """Grant ``request`` now, already processed, as :class:`Release` is."""
+        self.users.append(request)
+        request.usage_since = self.env._now
+        request._value = self
+        request.callbacks = None
+
     def _trigger_queued(self) -> None:
         while self.queue and len(self.users) < self.capacity:
             request = self.queue.pop(0)
@@ -186,7 +213,7 @@ class PriorityResource(Resource):
         """Queue a prioritized request (lower = more important)."""
         return PriorityRequest(self, priority=priority, preempt=preempt)
 
-    def _do_request(self, request: Request) -> None:
+    def _enqueue(self, request: Request) -> None:
         assert isinstance(request, PriorityRequest)
         self.queue.append(request)
         self.queue.sort(key=lambda r: r.key)
@@ -212,16 +239,16 @@ class PreemptiveResource(PriorityResource):
 
     def request(self, priority: int = 0, preempt: bool = True) -> PriorityRequest:  # type: ignore[override]
         """Request that may evict a lower-priority holder."""
+        env = self.env
         req = PriorityRequest.__new__(PriorityRequest)
         req.priority = priority
         req.preempt = preempt
-        req.time = self.env.now
+        req.time = env._now
         req.key = (priority, req.time, not preempt)
-        Event.__init__(req, self.env)
+        Event.__init__(req, env)
         req.resource = self
         req.usage_since = None
-        owner = self.env.active_process
-        self._owners[req] = owner
+        self._owners[req] = env._active_proc
         self._do_request(req)
         return req
 

@@ -14,6 +14,8 @@ def test_flatten_numeric_leaves_and_ignores():
         "flag": True,                    # booleans are not metrics
         "name": "fig7",                  # strings are not metrics
         "bad": float("nan"),             # non-finite dropped
+        "totals": {"wall_s": 9.3,        # host wall clocks are not compared
+                   "wall_by_scenario": {"fig7": 0.1}},
     })
     assert flat == {"a.b": 1.0, "a.c[0]": 10.0, "a.c[1]": 20.5}
 
